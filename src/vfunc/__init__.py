@@ -109,4 +109,5 @@ __all__ = [
     "upper_filtration",
     "v_formula",
     "v_oracle",
+    "validate_pair",
 ]

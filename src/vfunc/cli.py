@@ -16,7 +16,7 @@ Job files look like
 
 with an optional "modulus" key ([c0, ..., cn] or "c0,...,cn") overriding
 the built-in choice.  Exit codes: 0 success, 2 unreadable input, 3 invalid
-input, 4 cross-check disagreement.
+input, 4 cross-check disagreement or failed internal check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import InputError
+from .errors import AInPrimeField, InputError, InternalCheckFailed
 from .extension_algebra import ExtensionPair, validate_pair
 from .finite_field import FieldParams, FqElem
 from .laurent import LaurentPoly
@@ -259,6 +259,9 @@ def cmd_sweep(args) -> int:
     if args.max_degree < 1:
         raise _ParseFailure("max-degree must be positive")
     field = _build_field(args.p, args.n, args.modulus)
+    if field.n < 2:
+        raise AInPrimeField("sweep needs n >= 2: with n = 1 every a lies "
+                            "in the prime field")
     jobs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,6 +327,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except InternalCheckFailed as exc:
+        print(f"internal check failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ entry is a minor of the input and every division is exact.  Pivots are
 chosen by minimal t-adic valuation, ties broken by lowest row index, which
 both fixes the algorithm deterministically and keeps supports small.
 
-Kernels use reduced row echelon form over the fraction field F_q(t) with
-gcd-reduced fractions, then clear denominators and strip monomial content.
+Kernels are only needed for matrices of constants, so they are solved by
+reduced row echelon form over F_q itself.
 
 Internally the hot determinant path works on dense integer coefficient
 blocks (numpy int64 convolutions mod p); the quotient of each Bareiss step
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckFailed, NonSquare
 from .finite_field import FieldParams, FqElem
-from .laurent import INFINITY, LaurentPoly
+from .laurent import LaurentPoly
 
 
 class LaurentMatrix:
@@ -46,12 +46,6 @@ class LaurentMatrix:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[LaurentPoly]]) -> LaurentMatrix:
-        if not rows or not rows[0]:
-            raise InputError("cannot infer field from an empty matrix")
-        return cls(rows[0][0].field, rows)
 
     def __getitem__(self, idx: tuple[int, int]) -> LaurentPoly:
         i, j = idx
@@ -296,178 +290,40 @@ def det(M: LaurentMatrix) -> LaurentPoly:
     return result
 
 
-# ---------------------------------------------------------------------------
-# fractions over F_q[t] for kernel computation
+def kernel(M: LaurentMatrix) -> list[list[LaurentPoly]]:
+    """Basis of the right kernel of a constant matrix, solved over F_q.
 
-
-def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division with remainder in F_q[t]; inputs must have valuation >= 0."""
-    field = a.field
-    rem = dict(a.terms)
-    db = b.degree()
-    lead = b.coeff(db).inv()
-    quo: dict[int, FqElem] = {}
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        c = rem[da] * lead
-        quo[da - db] = c
-        for e, bc in b.terms:
-            k = e + da - db
-            cur = rem.get(k, field.zero()) - c * bc
-            if cur.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = cur
-    return LaurentPoly(field, quo), LaurentPoly(field, rem)
-
-
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in F_q[t] of two polynomials with valuation >= 0."""
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * a.coeff(a.degree()).inv()
-
-
-class _Frac:
-    """num/den with den a polynomial normalized to valuation 0, monic top
-    coefficient, and gcd(num shifted to valuation 0, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        field = num.field
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = LaurentPoly.one(field)
-            return
-        shift = -den.valuation()
-        den = den.shift(shift)
-        num = num.shift(shift)
-        num0 = num.shift(-num.valuation())
-        g = _poly_gcd(num0, den)
-        if g.degree() > 0:
-            num_shift = num.valuation()
-            num0, r1 = _poly_divmod(num0, g)
-            den, r2 = _poly_divmod(den, g)
-            assert r1.is_zero() and r2.is_zero()
-            num = num0.shift(num_shift)
-        lead = den.coeff(den.degree())
-        if lead != field.one():
-            inv = lead.inv()
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, f: LaurentPoly) -> _Frac:
-        fr = object.__new__(cls)
-        fr.num = f
-        fr.den = LaurentPoly.one(f.field)
-        return fr
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> _Frac:
-        fr = object.__new__(_Frac)
-        fr.num = -self.num
-        fr.den = self.den
-        return fr
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Frac):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-
-def _poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    g = _poly_gcd(a, b)
-    q, r = _poly_divmod(a, g)
-    assert r.is_zero()
-    return q * b
-
-
-def kernel(M: LaurentMatrix, column_order: Sequence[int] | None = None) -> list[list[LaurentPoly]]:
-    """Basis of the right kernel, one vector per free coordinate.
-
-    Vectors come out in reduced echelon shape with respect to column_order
-    (default: natural order): processing the coordinates in that order, each
-    basis vector carries one free coordinate, has zeros at the other free
-    coordinates, and its entries at earlier pivot coordinates are the
-    negated echelon entries.  Denominators are cleared and each vector is
-    divided by c * t^e where e is the minimal valuation over its entries and
-    c is the lowest coefficient of the free coordinate, so that coordinate
-    becomes t^k times a series with lowest coefficient 1 (exactly a power of
-    t when the cleared denominator is a monomial, in particular whenever the
-    matrix entries are constants).
+    The matrix is brought to reduced row echelon form with columns in
+    natural order.  Each free column f gives one basis vector: coordinate f
+    is 1, the other free coordinates are 0, and each pivot coordinate holds
+    the negated echelon entry in column f.  Entries come back as constant
+    LaurentPolys; a non-constant entry raises InputError.
     """
     field = M.field
-    order = list(range(M.ncols)) if column_order is None else list(column_order)
-    if sorted(order) != list(range(M.ncols)):
-        raise InputError("column_order must be a permutation of the column indices")
-    nr, nc = M.nrows, M.ncols
-    R = [[_Frac.from_poly(M.rows[i][order[c]]) for c in range(nc)] for i in range(nr)]
+    if not all(x.is_constant() for row in M.rows for x in row):
+        raise InputError("kernel needs a matrix of constants")
+    R = [[x.coeff(0) for x in row] for row in M.rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if not R[i][c].is_zero()), None)
+    for c in range(M.ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, M.nrows) if not R[i][c].is_zero()), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = _Frac.from_poly(LaurentPoly.one(field)) / R[r][c]
+        inv = R[r][c].inv()
         R[r] = [x * inv for x in R[r]]
-        for i in range(nr):
-            if i != r and not R[i][c].is_zero():
-                factor = R[i][c]
-                R[i] = [R[i][j] - factor * R[r][j] for j in range(nc)]
+        for i in range(M.nrows):
+            factor = R[i][c]
+            if i != r and not factor.is_zero():
+                R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
     basis = []
-    pivot_set = set(pivots)
-    one = LaurentPoly.one(field)
-    for f in range(nc):
-        if f in pivot_set:
+    for f in range(M.ncols):
+        if f in pivots:
             continue
-        coords = [_Frac.from_poly(LaurentPoly.zero(field)) for _ in range(nc)]
-        coords[f] = _Frac.from_poly(one)
-        for row_idx, c in enumerate(pivots):
-            if c < f:
-                coords[c] = -R[row_idx][f]
-        common = one
-        for fr in coords:
-            if not fr.is_zero():
-                common = _poly_lcm(common, fr.den)
-        vec = [LaurentPoly.zero(field)] * nc
-        for c in range(nc):
-            fr = coords[c]
-            if not fr.is_zero():
-                q, rem = _poly_divmod(common, fr.den)
-                assert rem.is_zero()
-                vec[order[c]] = fr.num * q
-        lead_entry = vec[order[f]]
-        scale = lead_entry.coeff(lead_entry.valuation()).inv()
-        shift = min(v.valuation() for v in vec if not v.is_zero())
-        basis.append([(x * scale).shift(-shift) if not x.is_zero() else x for x in vec])
+        vec = [LaurentPoly.zero(field)] * M.ncols
+        vec[f] = LaurentPoly.one(field)
+        for row, c in enumerate(pivots):
+            vec[c] = LaurentPoly(field, [(0, -R[row][f])])
+        basis.append(vec)
     return basis

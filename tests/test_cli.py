@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import vfunc
 from vfunc.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
@@ -13,6 +14,7 @@ from vfunc.cli import (
     EXIT_PARSE,
     main,
 )
+from vfunc.errors import LatticeAssertionFailed
 
 
 def run_cli(argv, capsys):
@@ -198,6 +200,30 @@ def test_sweep_rejects_bad_parameters(capsys):
                             "--max-degree", "0", "--seed", "1",
                             "--count", "3"], capsys)
     assert code == EXIT_PARSE
+
+    # with n = 1 no a lies outside the prime field, so no pair can be drawn
+    code, _, err = run_cli(["sweep", "--p", "2", "--n", "1",
+                            "--max-degree", "5", "--seed", "1",
+                            "--count", "3"], capsys)
+    assert code == EXIT_INVALID and "AInPrimeField" in err
+
+
+def test_internal_check_failure_exits_mismatch(tmp_path, capsys,
+                                               monkeypatch):
+    def broken_oracle(pair):
+        raise LatticeAssertionFailed("s' = 8 is divisible by p^2")
+
+    monkeypatch.setattr("vfunc.cli.v_oracle", broken_oracle)
+    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+    code, out, err = run_cli(["v", "--input", path], capsys)
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err == ("internal check failed: LatticeAssertionFailed: "
+                   "s' = 8 is divisible by p^2\n")
+
+
+def test_package_exports_validate_pair():
+    assert "validate_pair" in vfunc.__all__
 
 
 def test_unknown_subcommand_exits_nonzero():
