@@ -153,6 +153,9 @@ def _counterexample_family(field: FieldParams, c: FqElem) -> ExtensionPair:
 
 def cmd_counterexample(args) -> int:
     field = _build_field(args.p, args.n, args.modulus)
+    if field.n < 2:
+        raise AInPrimeField("counterexample needs n >= 2: with n = 1 the "
+                            "generator a lies in the prime field")
     p = field.p
     a = field.gen()
     rows = []

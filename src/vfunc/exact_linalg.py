@@ -110,17 +110,6 @@ class _Ctx:
         self.packable = field.n == 2
 
 
-_CTX_CACHE: dict[FieldParams, _Ctx] = {}
-
-
-def _ctx(field: FieldParams) -> _Ctx:
-    ctx = _CTX_CACHE.get(field)
-    if ctx is None:
-        ctx = _Ctx(field)
-        _CTX_CACHE[field] = ctx
-    return ctx
-
-
 def _to_dense(f: LaurentPoly, ctx: _Ctx):
     if f.is_zero():
         return None
@@ -256,7 +245,7 @@ def det(M: LaurentMatrix) -> LaurentPoly:
     field = M.field
     if n == 0:
         return LaurentPoly.one(field)
-    ctx = _ctx(field)
+    ctx = _Ctx(field)
     D = [[_to_dense(M.rows[i][j], ctx) for j in range(n)] for i in range(n)]
     sign = 1
     prev = None

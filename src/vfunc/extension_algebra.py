@@ -16,7 +16,6 @@ validation without ever constructing a uniformizer.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -52,9 +51,6 @@ class GroupElement:
 
     def inverse(self) -> GroupElement:
         return GroupElement(self.p, -self.i, -self.j)
-
-    def is_identity(self) -> bool:
-        return self.i == 0 and self.j == 0
 
 
 def sigma(p: int) -> GroupElement:
@@ -105,37 +101,18 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
     return ExtensionPair(field, a, g1, g2)
 
 
-@functools.lru_cache(maxsize=64)
-def _mono_table(pair: ExtensionPair):
-    """Expansion of alpha^I beta^J, 0 <= I, J <= 2p-2, on the monomial basis.
+def _fold(seq: list[LaurentPoly], g: LaurentPoly, p: int) -> list[LaurentPoly]:
+    """Reduce coefficients of z^0 .. z^(2p-2) in place modulo z^p = z + g.
 
-    Only first powers of the defining series appear because I, J < 2p:
-    alpha^I = alpha^(I-p+1) + g1 * alpha^(I-p) for I >= p, same for beta.
+    z^k for k >= p becomes z^(k-p+1) + g * z^(k-p) with k - p + 1 < p, so
+    one pass leaves only exponents below p; returns those p coefficients.
     """
-    p = pair.p
-    one = LaurentPoly.one(pair.field)
-    alpha_exp = {}
-    beta_exp = {}
-    for arm, g in ((alpha_exp, pair.g1), (beta_exp, pair.g2)):
-        for power in range(2 * p - 1):
-            if power < p:
-                arm[power] = [(power, one)]
-            else:
-                arm[power] = [(power - p + 1, one), (power - p, g)]
-    table = {}
-    for bi in range(2 * p - 1):
-        for bj in range(2 * p - 1):
-            entries = []
-            for ia, ca in alpha_exp[bi]:
-                for jb, cb in beta_exp[bj]:
-                    entries.append((ia * p + jb, ca * cb))
-            table[bi, bj] = entries
-    return table
-
-
-@functools.lru_cache(maxsize=8)
-def _binomials(p: int):
-    return [[comb(k, m) % p for m in range(p)] for k in range(p)]
+    for k in range(p, len(seq)):
+        c = seq[k]
+        if c:
+            seq[k - p + 1] = seq[k - p + 1] + c
+            seq[k - p] = seq[k - p] + c * g
+    return seq[:p]
 
 
 class LElement:
@@ -243,9 +220,11 @@ class LElement:
     def __mul__(self, other):
         if isinstance(other, LElement):
             self._check(other)
-            p = self.pair.p
-            table = _mono_table(self.pair)
-            acc = [LaurentPoly.zero(self.pair.field) for _ in range(p * p)]
+            pair = self.pair
+            p = pair.p
+            zero = LaurentPoly.zero(pair.field)
+            # cols[J][I] is the coefficient of alpha^I beta^J, I, J <= 2p-2
+            cols = [[zero] * (2 * p - 1) for _ in range(2 * p - 1)]
             for idx1, c1 in enumerate(self.coeffs):
                 if c1.is_zero():
                     continue
@@ -254,14 +233,15 @@ class LElement:
                     if c2.is_zero():
                         continue
                     i2, j2 = divmod(idx2, p)
-                    prod = c1 * c2
-                    for target, mult in table[i1 + i2, j1 + j2]:
-                        acc[target] = acc[target] + prod * mult
+                    col = cols[j1 + j2]
+                    col[i1 + i2] = col[i1 + i2] + c1 * c2
+            cols = [_fold(col, pair.g1, p) for col in cols]
+            acc = []
+            for i in range(p):
+                acc.extend(_fold([col[i] for col in cols], pair.g2, p))
             return LElement(self.pair, acc)
         if isinstance(other, (LaurentPoly, FqElem, int)):
-            if isinstance(other, int):
-                other = LaurentPoly.t_pow(self.pair.field, 0, other)
-            elif isinstance(other, FqElem):
+            if not isinstance(other, LaurentPoly):
                 other = LaurentPoly.t_pow(self.pair.field, 0, other)
             return LElement(self.pair, [c * other for c in self.coeffs])
         return NotImplemented
@@ -319,18 +299,17 @@ def act(g: GroupElement, x: LElement) -> LElement:
     ish, jsh = g.i % p, g.j % p
     if ish == 0 and jsh == 0:
         return x
-    binom = _binomials(p)
     acc = [LaurentPoly.zero(pair.field) for _ in range(p * p)]
     for idx, c in enumerate(x.coeffs):
         if c.is_zero():
             continue
         k, l = divmod(idx, p)
         for m in range(k + 1):
-            am = binom[k][m] * pow(jsh, k - m, p) % p
+            am = comb(k, m) * pow(jsh, k - m, p) % p
             if am == 0:
                 continue
             for r in range(l + 1):
-                br = binom[l][r] * pow(ish, l - r, p) % p
+                br = comb(l, r) * pow(ish, l - r, p) % p
                 s = am * br % p
                 if s:
                     acc[m * p + r] = acc[m * p + r] + c * s

@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, NontrivialUnramifiedPart
 from .finite_field import FieldParams, FqElem
@@ -31,8 +31,8 @@ class LaurentPoly:
 
     __slots__ = ("field", "terms")
 
-    def __init__(self, field: FieldParams, terms: Mapping[int, FqElem] | Iterable[tuple[int, FqElem]]):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, field: FieldParams, terms: dict[int, FqElem] | Iterable[tuple[int, FqElem]]):
+        items = terms.items() if isinstance(terms, dict) else terms
         clean = tuple(sorted((e, c) for e, c in items if not c.is_zero()))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
@@ -104,11 +104,6 @@ class LaurentPoly:
 
     def is_constant(self) -> bool:
         return all(e == 0 for e, _ in self.terms)
-
-    def constant_value(self) -> FqElem:
-        if not self.is_constant():
-            raise InputError("series is not constant")
-        return self.coeff(0)
 
     def is_in_J(self) -> bool:
         """Membership in J: all exponents negative and prime to p."""

@@ -102,10 +102,12 @@ class Line:
 def lines(pair: ExtensionPair) -> list[Line]:
     """One line per point of P^1(F_p): (1, 0) first, then (lam, 1)."""
     p = pair.p
+    pencil = [((1, 0), pair.g1), ((0, 1), pair.g2)]
+    for lam in range(1, p):
+        pencil.append(((lam, 1), pencil[-1][1] + pair.g1))
     out = []
-    for lam, mu in [(1, 0)] + [(lam, 1) for lam in range(p)]:
-        comb = lam * pair.g1 + mu * pair.g2
-        rep, _ = reduce_to_J(comb)
+    for coeffs, series in pencil:
+        rep, _ = reduce_to_J(series)
         val = rep.valuation()
         if val == INFINITY:
             raise InternalCheckFailed(
@@ -113,7 +115,7 @@ def lines(pair: ExtensionPair) -> list[Line]:
         jump = -val
         if jump % p == 0 or jump <= 0:
             raise InternalCheckFailed(f"line break {jump} outside J range")
-        out.append(Line(coeffs=(lam, mu), rep=rep, jump=jump))
+        out.append(Line(coeffs=coeffs, rep=rep, jump=jump))
     return out
 
 
@@ -220,9 +222,6 @@ class HerbrandFn:
         pos = bisect.bisect_right(xs, x) - 1
         kx, ky, slope = self.knots[pos]
         return ky + slope * (x - kx)
-
-    def breakpoints(self) -> list[Fraction]:
-        return [k[0] for k in self.knots[1:]]
 
 
 def _transition(filt: Filtration, expected: str, invert: bool) -> HerbrandFn:

@@ -115,6 +115,14 @@ def test_counterexample_modulus_override(capsys):
     assert json.loads(out)["expected_pattern"] is True
 
 
+def test_counterexample_rejects_prime_field(capsys):
+    # with n = 1 the generator a lies in F_p, so the family is not defined
+    code, out, err = run_cli(["counterexample", "--p", "3", "--n", "1"],
+                             capsys)
+    assert code == EXIT_INVALID and "AInPrimeField" in err
+    assert out == ""
+
+
 def sweep_args(seed=42, jobs=None):
     argv = ["sweep", "--p", "2", "--n", "2", "--max-degree", "5",
             "--seed", str(seed), "--count", "8"]

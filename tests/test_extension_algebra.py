@@ -146,8 +146,8 @@ def test_action_composes(f9):
     assert act(GroupElement(3, 0, 0), x) == x
 
 
-def random_element(pair, rng, lo=-4, hi=3):
-    coords = [random_laurent(pair.field, rng, lo, hi, density=0.4)
+def random_element(pair, rng, lo=-4, hi=3, density=0.4):
+    coords = [random_laurent(pair.field, rng, lo, hi, density=density)
               for _ in range(pair.p ** 2)]
     return LElement(pair, coords)
 
@@ -162,6 +162,19 @@ def test_defining_relations(f4, f9):
         al, be = LElement.alpha(pair), LElement.beta(pair)
         assert al ** p == al + LElement.from_k(pair, pair.g1)
         assert be ** p == be + LElement.from_k(pair, pair.g2)
+
+
+def test_dense_products_are_commutative_associative_distributive(f4, f9, f25):
+    for field in (f4, f9, f25):
+        rng = make_rng(f"dense-ring-{field.p}")
+        pair = random_pair(field, rng, min_exp=-3)
+        x, y, z = (random_element(pair, rng, lo=-2, hi=0, density=1.0)
+                   for _ in range(3))
+        assert all(not c.is_zero() for el in (x, y, z) for c in el.coeffs)
+        xy = x * y
+        assert xy == y * x
+        assert xy * z == x * (y * z)
+        assert x * (y + z) == xy + x * z
 
 
 def test_pairing_element_artin_schreier_identity(f4, f9):
