@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -266,8 +267,9 @@ def cmd_sweep(args) -> int:
         raise AInPrimeField("sweep needs n >= 2: with n = 1 every a lies "
                             "in the prime field")
     jobs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(job) for job in jobs]
@@ -315,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--seed", type=int, required=True)
     p_s.add_argument("--count", type=int, required=True)
     p_s.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (default 1)")
+                     help="worker processes, at most one per CPU and per "
+                          "pair (default 1)")
     p_s.set_defaults(func=cmd_sweep)
     return parser
 

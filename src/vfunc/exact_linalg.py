@@ -9,9 +9,11 @@ Kernels are only needed for matrices of constants, so they are solved by
 reduced row echelon form over F_q itself.
 
 Internally the hot determinant path works on dense integer coefficient
-blocks (numpy int64 convolutions mod p); the quotient of each Bareiss step
-is computed by a Newton-inverted power series and re-verified against the
-numerator, so a failed exact division can never pass silently.
+blocks; a product of two blocks is one numpy int64 convolution after the
+Kronecker substitution t = w^(2n-1), folded back into F_q and reduced mod
+p.  The quotient of each Bareiss step is computed by a Newton-inverted
+power series and re-verified against the numerator, so a failed exact
+division can never pass silently.
 """
 
 from __future__ import annotations
@@ -99,15 +101,13 @@ class LaurentMatrix:
 
 
 class _Ctx:
-    __slots__ = ("field", "p", "n", "red", "packable")
+    __slots__ = ("field", "p", "n", "red")
 
     def __init__(self, field: FieldParams):
         self.field = field
         self.p = field.p
         self.n = field.n
-        self.red = np.array(field._red, dtype=np.int64).reshape(field.n - 1, field.n) \
-            if field.n > 1 else np.zeros((0, field.n), dtype=np.int64)
-        self.packable = field.n == 2
+        self.red = np.array(field._red, dtype=np.int64).reshape(field.n - 1, field.n)
 
 
 def _to_dense(f: LaurentPoly, ctx: _Ctx):
@@ -139,42 +139,27 @@ def _trim(off: int, arr: np.ndarray):
     return off + lo, np.ascontiguousarray(arr[:, lo:hi + 1])
 
 
-_PACK_SHIFT = 21
-_PACK_MASK = (1 << _PACK_SHIFT) - 1
-# The middle packed digit accumulates two cross products, so digit capacity
-# needs 2*(p-1)^2*overlap < 2^21; the int64 budget is far looser than that.
-_PACK_BUDGET = 1 << 20
-
-
 def _raw_mul(a: np.ndarray, b: np.ndarray, ctx: _Ctx) -> np.ndarray:
-    """Multiply two coefficient blocks (no offsets), result reduced mod p."""
-    p, n = ctx.p, ctx.n
-    if ctx.packable and (p - 1) * (p - 1) * min(a.shape[1], b.shape[1]) <= _PACK_BUDGET:
-        pa = a[0] + (a[1] << _PACK_SHIFT)
-        pb = b[0] + (b[1] << _PACK_SHIFT)
-        conv = np.convolve(pa, pb)
-        d0 = conv & _PACK_MASK
-        d1 = (conv >> _PACK_SHIFT) & _PACK_MASK
-        d2 = conv >> (2 * _PACK_SHIFT)
-        r0, r1 = int(ctx.red[0, 0]), int(ctx.red[0, 1])
-        return np.stack(((d0 + r0 * d2) % p, (d1 + r1 * d2) % p))
-    out = np.zeros((n, a.shape[1] + b.shape[1] - 1), dtype=np.int64)
-    for i in range(n):
-        if not a[i].any():
-            continue
-        for j in range(n):
-            if not b[j].any():
-                continue
-            conv = np.convolve(a[i], b[j])
-            k = i + j
-            if k < n:
-                out[k] += conv
-            else:
-                for m in range(n):
-                    r = int(ctx.red[k - n, m])
-                    if r:
-                        out[m] += r * conv
-    return out % p
+    """Multiply two coefficient blocks (no offsets), result reduced mod p.
+
+    Kronecker substitution t = w^s, s = 2n - 1, lays each block out as one
+    sequence with w^b t^k at index k*s + b, so a single convolution forms
+    the product.  A product w^i w^j has i + j <= 2n - 2 < s, so the digits
+    of different t-powers never overlap.  Before folding w^n .. w^(2n-2)
+    back in, a digit is at most n * min(Wa, Wb) * (p-1)^2, and folding
+    multiplies that by at most 1 + (n-1)(p-1): far below 2^63 for any
+    block that fits in memory.
+    """
+    n, s = ctx.n, 2 * ctx.n - 1
+    width = a.shape[1] + b.shape[1] - 1
+    conv = np.convolve(_spread(a, s), _spread(b, s))[:width * s].reshape(width, s)
+    return ((conv[:, :n] + conv[:, n:] @ ctx.red) % ctx.p).T
+
+
+def _spread(block: np.ndarray, s: int) -> np.ndarray:
+    seq = np.zeros((block.shape[1], s), dtype=np.int64)
+    seq[:, :block.shape[0]] = block.T
+    return seq.ravel()
 
 
 def _dmul(x, y, ctx: _Ctx):

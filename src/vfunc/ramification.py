@@ -185,8 +185,10 @@ def upper_filtration(pair: ExtensionPair) -> Filtration:
     with break at most u; heights where the intersection does not shrink
     are not breaks and are dropped.
     """
-    p = pair.p
-    ls = lines(pair)
+    return _assemble_upper(pair.p, lines(pair))
+
+
+def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
     breaks = []
     current = Subgroup.full(p)
     for u in sorted({ln.jump for ln in ls}):
@@ -302,10 +304,10 @@ def quotient_compat_check(pair: ExtensionPair) -> bool:
     filtration in G/H must be everything at heights v <= j and trivial
     after.  Tested on a rational grid straddling every break and jump.
     """
-    upper = upper_filtration(pair)
+    all_lines = lines(pair)
+    upper = _assemble_upper(pair.p, all_lines)
     heights: set[Fraction] = {Fraction(0)}
     probes = [Fraction(u) for u in upper.break_values()]
-    all_lines = lines(pair)
     probes += [Fraction(ln.jump) for ln in all_lines]
     for u in probes:
         heights.update((u - Fraction(1, 2), u, u + Fraction(1, 2)))

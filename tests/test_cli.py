@@ -123,9 +123,9 @@ def test_counterexample_rejects_prime_field(capsys):
     assert out == ""
 
 
-def sweep_args(seed=42, jobs=None):
+def sweep_args(seed=42, jobs=None, count=8):
     argv = ["sweep", "--p", "2", "--n", "2", "--max-degree", "5",
-            "--seed", str(seed), "--count", "8"]
+            "--seed", str(seed), "--count", str(count)]
     if jobs is not None:
         argv += ["--jobs", str(jobs)]
     return argv
@@ -161,6 +161,37 @@ def test_sweep_parallel_matches_serial(capsys):
     _, serial, _ = run_cli(sweep_args(), capsys)
     _, parallel, _ = run_cli(sweep_args(jobs=2), capsys)
     assert serial == parallel
+
+
+def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
+    # a fake pool records its size and maps serially: no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("vfunc.cli.ProcessPoolExecutor", FakePool)
+    _, serial, _ = run_cli(sweep_args(), capsys)
+    # (CPU count, --jobs, --count, pool size or None for a serial run)
+    for cpus, jobs, count, size in ((4, 100000, 8, 4), (16, 100000, 8, 8),
+                                    (4, 50, 1, None), (None, 3, 8, None)):
+        monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda c=cpus: c)
+        sizes.clear()
+        code, out, _ = run_cli(sweep_args(jobs=jobs, count=count), capsys)
+        assert code == EXIT_OK
+        assert sizes == ([] if size is None else [size])
+        if count == 8:
+            assert out == serial
 
 
 def test_exit_code_parse_failures(tmp_path, capsys):

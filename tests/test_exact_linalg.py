@@ -6,6 +6,7 @@ import pytest
 
 from vfunc.errors import InputError, NonSquare
 from vfunc.exact_linalg import LaurentMatrix, det, kernel
+from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly
 
 from conftest import make_rng, random_laurent
@@ -49,9 +50,9 @@ def test_det_nonsquare_rejected(f4):
         det(LaurentMatrix(f4, [[one, one]]))
 
 
-def test_det_small_sizes_against_permanent_expansion(f4, f9, f25):
+def test_det_small_sizes_against_permanent_expansion(f4, f9, f25, f8):
     rng = make_rng("det-oracle")
-    for fld in (f4, f9, f25):
+    for fld in (f4, f9, f25, f8, FieldParams(5, 1)):
         for n in (1, 2, 3, 4):
             for _ in range(12):
                 M = rand_matrix(fld, rng, n, n)
@@ -98,11 +99,13 @@ def test_det_larger_random_against_expansion(f25):
         assert det(M) == det_by_permutations(M)
 
 
-def test_det_wide_support_uses_same_arithmetic(f25):
-    # stress the packed convolution path with wide supports
+def test_det_wide_support_uses_same_arithmetic(f25, f8):
+    # wide supports give long block convolutions, with and without digits
+    # to fold back into F_q
     rng = make_rng("det-wide")
-    M = rand_matrix(f25, rng, 3, 3, lo=-40, hi=40, density=0.8)
-    assert det(M) == det_by_permutations(M)
+    for fld in (f25, f8, FieldParams(5, 1)):
+        M = rand_matrix(fld, rng, 3, 3, lo=-40, hi=40, density=0.8)
+        assert det(M) == det_by_permutations(M)
 
 
 def test_det_singular_and_zero(f4):

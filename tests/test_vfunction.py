@@ -14,6 +14,7 @@ from vfunc.extension_algebra import (
     act,
     validate_pair,
 )
+from vfunc.finite_field import FieldParams
 from vfunc.vfunction import (
     theta_conditions_matrix,
     theta_lattice,
@@ -200,11 +201,13 @@ def test_map_equivariance_identities(f4, f9):
 
 # -- cross-route agreement and metamorphic checks ----------------------------
 
-def test_routes_agree_on_random_pairs(f4, f9):
-    for field, reps in ((f4, 25), (f9, 8)):
+def test_routes_agree_on_random_pairs(f4, f9, f8):
+    f27 = FieldParams(3, 3, (1, 2, 0, 1))
+    for field, reps, min_exp in ((f4, 25, -5), (f9, 8, -10),
+                                 (f8, 6, -10), (f27, 6, -10)):
         rng = make_rng(f"agree-{field.p}")
         for _ in range(reps):
-            pair = random_pair(field, rng, -(field.p ** 2 + 1))
+            pair = random_pair(field, rng, min_exp)
             rf = v_formula(pair)
             ro = v_oracle(pair)
             assert rf.value == ro.value
