@@ -29,15 +29,19 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import AInPrimeField, InputError, InternalCheckFailed
+from .errors import (
+    AInPrimeField,
+    InputError,
+    InternalCheckFailed,
+    SamplingExhausted,
+)
 from .extension_algebra import ExtensionPair, validate_pair
 from .finite_field import FieldParams, FqElem
 from .laurent import LaurentPoly
 from .ramification import (
     Filtration,
     filtration_fingerprint,
-    lower_filtration,
-    quotient_compat_check,
+    filtration_report,
     upper_filtration,
 )
 from .vfunction import VResult, v_formula, v_oracle
@@ -132,14 +136,12 @@ def _breaks_json(filt: Filtration) -> list[dict]:
 
 
 def cmd_filtration(args) -> int:
-    pair = _load_job(args.input)
-    upper = upper_filtration(pair)
-    lower = lower_filtration(pair)
+    upper, lower, compat = filtration_report(_load_job(args.input))
     _emit_json({
         "upper": _breaks_json(upper),
         "lower": _breaks_json(lower),
         "fingerprint": filtration_fingerprint(upper),
-        "quotient_compat": quotient_compat_check(pair),
+        "quotient_compat": compat,
     })
     return EXIT_OK
 
@@ -209,9 +211,15 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK if expected else EXIT_MISMATCH
 
 
+# Rejected draws allowed per series and per pair.  For n >= 2 a draw is
+# accepted with probability at least 1/3, so the cap is reached only when
+# no valid draw exists.
+_MAX_DRAWS = 1000
+
+
 def _random_series(field: FieldParams, rng: random.Random,
                    max_degree: int) -> LaurentPoly:
-    while True:
+    for _ in range(_MAX_DRAWS):
         terms = []
         for e in range(-max_degree, 0):
             if e % field.p == 0:
@@ -221,14 +229,12 @@ def _random_series(field: FieldParams, rng: random.Random,
                 terms.append((e, c))
         if terms:
             return LaurentPoly(field, terms)
+    raise SamplingExhausted(f"no nonzero series in {_MAX_DRAWS} draws")
 
 
-def _sweep_jobs(field: FieldParams, seed: int, count: int,
-                max_degree: int) -> list[tuple]:
-    rng = random.Random(seed)
-    spec = (field.p, field.n, field.modulus)
-    jobs = []
-    while len(jobs) < count:
+def _random_job(field: FieldParams, rng: random.Random,
+                max_degree: int) -> tuple:
+    for _ in range(_MAX_DRAWS):
         g1 = _random_series(field, rng, max_degree)
         g2 = _random_series(field, rng, max_degree)
         a = field.random_element(rng)
@@ -238,8 +244,15 @@ def _sweep_jobs(field: FieldParams, seed: int, count: int,
             validate_pair(field, a, g1, g2)
         except InputError:
             continue
-        jobs.append((spec, str(a), g1.to_pairs(), g2.to_pairs()))
-    return jobs
+        return ((field.p, field.n, field.modulus), str(a), g1.to_pairs(),
+                g2.to_pairs())
+    raise SamplingExhausted(f"no valid pair in {_MAX_DRAWS} draws")
+
+
+def _sweep_jobs(field: FieldParams, seed: int, count: int,
+                max_degree: int) -> list[tuple]:
+    rng = random.Random(seed)
+    return [_random_job(field, rng, max_degree) for _ in range(count)]
 
 
 def _sweep_worker(job: tuple) -> tuple:

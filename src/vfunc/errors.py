@@ -36,6 +36,10 @@ class NontrivialUnramifiedPart(InputError):
     """Additive reduction hit a constant with nonzero absolute trace."""
 
 
+class FieldTooLarge(InputError):
+    """The field has more elements than its arithmetic tables allow."""
+
+
 class MixedExtensions(InputError):
     """Operands belong to different extension pairs or different fields."""
 
@@ -50,6 +54,10 @@ class NotInTheta(InputError):
 
 class NumberingMismatch(InputError):
     """A filtration with the wrong numbering was passed to a Herbrand map."""
+
+
+class SamplingExhausted(InputError):
+    """A random draw hit its retry cap without producing a valid input."""
 
 
 class InternalCheckFailed(VfuncError):

@@ -5,10 +5,14 @@ entry is a minor of the input and every division is exact.  Pivots are
 chosen by minimal t-adic valuation, ties broken by lowest row index, which
 both fixes the algorithm deterministically and keeps supports small.
 
+The value routes do not call det: norms in L are products of Galois
+conjugates.  det stays a public utility and the tests' reference for those
+norms.
+
 Kernels are only needed for matrices of constants, so they are solved by
 reduced row echelon form over F_q itself.
 
-Internally the hot determinant path works on dense integer coefficient
+Internally the determinant path works on dense integer coefficient
 blocks; a product of two blocks is one numpy int64 convolution after the
 Kronecker substitution t = w^(2n-1), folded back into F_q and reduced mod
 p.  The quotient of each Bareiss step is computed by a Newton-inverted

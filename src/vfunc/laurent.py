@@ -144,11 +144,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             self._check(other)
-            acc: dict[int, FqElem] = {}
-            for e1, c1 in self.terms:
-                for e2, c2 in other.terms:
-                    _accumulate(acc, e1 + e2, c1 * c2)
-            return LaurentPoly(self.field, acc)
+            return LaurentPoly(self.field,
+                               self.field.convolve(self.terms, other.terms))
         if isinstance(other, (FqElem, int)):
             c = self.field.elem(other) if isinstance(other, int) else other
             if c.field != self.field:

@@ -259,7 +259,10 @@ def herbrand_psi(filt: Filtration) -> HerbrandFn:
 
 def lower_filtration(pair: ExtensionPair) -> Filtration:
     """Transport the upper breaks through the inverse transition function."""
-    upper = upper_filtration(pair)
+    return _lower_from_upper(upper_filtration(pair))
+
+
+def _lower_from_upper(upper: Filtration) -> Filtration:
     psi = herbrand_psi(upper)
     moved = []
     for u, sub in upper.breaks:
@@ -269,6 +272,13 @@ def lower_filtration(pair: ExtensionPair) -> Filtration:
                 f"lower break {x} is not an integer")
         moved.append((int(x), sub))
     return Filtration(numbering="lower", p=upper.p, breaks=tuple(moved))
+
+
+def filtration_report(pair: ExtensionPair) -> tuple[Filtration, Filtration, bool]:
+    """(upper, lower, quotient-compatibility) from one build of the lines."""
+    all_lines = lines(pair)
+    upper = _assemble_upper(pair.p, all_lines)
+    return upper, _lower_from_upper(upper), _compat(pair.p, all_lines, upper)
 
 
 def _format_value(u: Rational) -> str:
@@ -305,7 +315,10 @@ def quotient_compat_check(pair: ExtensionPair) -> bool:
     after.  Tested on a rational grid straddling every break and jump.
     """
     all_lines = lines(pair)
-    upper = _assemble_upper(pair.p, all_lines)
+    return _compat(pair.p, all_lines, _assemble_upper(pair.p, all_lines))
+
+
+def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
     heights: set[Fraction] = {Fraction(0)}
     probes = [Fraction(u) for u in upper.break_values()]
     probes += [Fraction(ln.jump) for ln in all_lines]
@@ -314,7 +327,7 @@ def quotient_compat_check(pair: ExtensionPair) -> bool:
     heights.add(max(probes) + 1)
     heights = {h for h in heights if h >= 0}
     for ln in all_lines:
-        h_sub = annihilator(ln, pair.p)
+        h_sub = annihilator(ln, p)
         for v in sorted(heights):
             quotient_full = v <= ln.jump
             image_full = not upper.subgroup_at(v).is_subset(h_sub)

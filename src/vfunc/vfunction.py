@@ -49,7 +49,7 @@ class ThetaBasis:
 
     {t^e1 * m1, t^e2 * m2} is an O_K-basis; m1 is the constant 1 with
     e1 = 0, and m2 has zero constant coordinate.  s_prime = -v_L(m2) is
-    kept so callers do not have to recompute a determinant.
+    kept so callers do not have to recompute a norm.
     """
 
     m1: LElement

@@ -8,13 +8,15 @@ import pytest
 
 import vfunc
 from vfunc.cli import (
+    _MAX_DRAWS,
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
     main,
 )
-from vfunc.errors import LatticeAssertionFailed
+from vfunc.errors import G2DependentOnG1, LatticeAssertionFailed
+from vfunc.finite_field import FieldParams
 
 
 def run_cli(argv, capsys):
@@ -120,6 +122,14 @@ def test_counterexample_rejects_prime_field(capsys):
     code, out, err = run_cli(["counterexample", "--p", "3", "--n", "1"],
                              capsys)
     assert code == EXIT_INVALID and "AInPrimeField" in err
+    assert out == ""
+
+
+def test_field_above_the_table_cap_exits_invalid(capsys):
+    code, out, err = run_cli(["sweep", "--p", "2", "--n", "13", "--modulus",
+                              "1,1,0,1,1" + ",0" * 8 + ",1", "--max-degree", "3",
+                              "--seed", "1", "--count", "1"], capsys)
+    assert code == EXIT_INVALID and "FieldTooLarge" in err
     assert out == ""
 
 
@@ -245,6 +255,35 @@ def test_sweep_rejects_bad_parameters(capsys):
                             "--max-degree", "5", "--seed", "1",
                             "--count", "3"], capsys)
     assert code == EXIT_INVALID and "AInPrimeField" in err
+
+
+def test_sweep_pair_draws_are_capped(monkeypatch, capsys):
+    calls = []
+
+    def reject(*args):
+        calls.append(args)
+        raise G2DependentOnG1("always")
+
+    monkeypatch.setattr("vfunc.cli.validate_pair", reject)
+    code, out, err = run_cli(sweep_args(), capsys)
+    assert code == EXIT_INVALID and "SamplingExhausted" in err
+    assert out == ""
+    assert 0 < len(calls) <= _MAX_DRAWS
+
+
+def test_sweep_series_draws_are_capped(monkeypatch, capsys):
+    calls = []
+
+    def zero(field, rng):
+        calls.append(rng)
+        return field.zero()
+
+    monkeypatch.setattr(FieldParams, "random_element", zero)
+    code, out, err = run_cli(sweep_args(), capsys)
+    assert code == EXIT_INVALID and "SamplingExhausted" in err
+    assert out == ""
+    # at p = 2 and max-degree 5 each draw takes the exponents -5, -3 and -1
+    assert len(calls) == 3 * _MAX_DRAWS
 
 
 def test_internal_check_failure_exits_mismatch(tmp_path, capsys,

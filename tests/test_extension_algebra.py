@@ -4,9 +4,11 @@ import pytest
 
 from vfunc import (
     AInPrimeField,
+    FieldParams,
     G1Zero,
     G2DependentOnG1,
     InputError,
+    InternalCheckFailed,
     LaurentPoly,
     MixedExtensions,
     NotInJ,
@@ -258,8 +260,19 @@ def test_norm_of_generators_is_power_of_defining_series(f4, f9):
         assert LElement.alpha(pair).valuation() == p * pair.g1.valuation()
 
 
+def test_norm_equals_det_of_multiplication_matrix(f4, f8, f9):
+    """The conjugate product agrees with the determinant reference."""
+    f27 = FieldParams(3, 3, (1, 2, 0, 1))
+    for field in (f4, f8, f9, f27):
+        rng = make_rng(f"norm-det-{field.p}-{field.n}")
+        pair = random_pair(field, rng, min_exp=-4)
+        for density in (0.4, 1.0):
+            x = random_element(pair, rng, lo=-2, hi=1, density=density)
+            assert x.norm() == det(x.mult_matrix())
+
+
 def test_norm_matches_conjugate_product(f4, f9):
-    """det of the multiplication matrix equals the product of conjugates."""
+    """The norm equals the product of all conjugates taken in one pass."""
     for field, reps in ((f4, 3), (f9, 1)):
         rng = make_rng(f"norm-conj-{field.p}")
         pair = random_pair(field, rng, min_exp=-3)
@@ -274,13 +287,29 @@ def test_norm_matches_conjugate_product(f4, f9):
             assert prod.coeffs[0] == x.norm()
 
 
-def test_norm_is_multiplicative(f4):
+def test_norm_is_multiplicative(f4, f25):
     rng = make_rng("norm-mult")
     pair = random_pair(f4, rng, min_exp=-3)
     for _ in range(3):
         x = random_element(pair, rng, lo=-2, hi=2)
         y = random_element(pair, rng, lo=-2, hi=2)
         assert (x * y).norm() == x.norm() * y.norm()
+    # at p = 5 dense elements with constant coefficients keep the norms cheap
+    rng = make_rng("norm-mult-5")
+    pair = random_pair(f25, rng, min_exp=-2)
+    x, y = (random_element(pair, rng, lo=0, hi=0, density=1.0)
+            for _ in range(2))
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+def test_norm_checks_trip_on_a_broken_action(f9, monkeypatch):
+    """With act the identity, N(alpha) leaves K(beta) and N(beta) leaves K."""
+    pair = random_pair(f9, make_rng("norm-broken-act"))
+    monkeypatch.setattr("vfunc.extension_algebra.act", lambda g, x: x)
+    with pytest.raises(InternalCheckFailed, match="K\\(beta\\)"):
+        LElement.alpha(pair).norm()
+    with pytest.raises(InternalCheckFailed, match="not in K$"):
+        LElement.beta(pair).norm()
 
 
 def test_pairing_element_norm_example(f4):

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from vfunc.errors import InputError
-from vfunc.finite_field import DEFAULT_MODULI, FieldParams
+from vfunc.errors import FieldTooLarge, InputError
+from vfunc.finite_field import DEFAULT_MODULI, MAX_Q, FieldParams, FqElem
 
 from conftest import make_rng
 
@@ -161,3 +161,43 @@ def test_immutability(f4):
         w.coeffs = (0, 0)
     with pytest.raises(AttributeError):
         f4.p = 3
+
+
+def test_tables_agree_with_coordinate_arithmetic(f8):
+    """Zech-logarithm sums and log products against vector arithmetic."""
+    fields = (FieldParams(2, 1), FieldParams(5, 1), f8,
+              FieldParams(2, 4, (1, 1, 0, 0, 1)),
+              FieldParams(3, 3, (1, 2, 0, 1)), FieldParams(7, 2, (1, 0, 1)))
+    for fld in fields:
+        p = fld.p
+        els = list(fld.elements())
+        assert sorted(x.code for x in els) == list(range(fld.q))
+        for x in els:
+            assert FqElem(fld, x.coeffs) == x
+            assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
+            for y in els:
+                assert (x * y).coeffs == fld._vec_mul(x.coeffs, y.coeffs)
+                assert (x + y).coeffs == tuple(
+                    (a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+                assert (x - y).coeffs == tuple(
+                    (a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+
+
+def test_unreduced_vector_rejected(f9):
+    with pytest.raises(InputError):
+        FqElem(f9, (3, 0))
+    with pytest.raises(InputError):
+        FqElem(f9, (1, 0, 0))
+
+
+def test_field_size_is_capped():
+    assert MAX_Q == 4096
+    big = FieldParams(2, 12, (1, 0, 0, 1) + (0,) * 8 + (1,))
+    assert big.q == MAX_Q
+    w = big.gen()
+    assert w ** (MAX_Q - 1) == big.one() and w ** 4095 * w == w
+    with pytest.raises(FieldTooLarge):
+        FieldParams(2, 13)
+    with pytest.raises(FieldTooLarge):
+        FieldParams(3, 8)
+    assert issubclass(FieldTooLarge, InputError)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from vfunc.errors import InputError, NontrivialUnramifiedPart
+from vfunc.finite_field import FieldParams
 from vfunc.laurent import INFINITY, LaurentPoly, reduce_to_J, wp
 
 from conftest import make_rng, random_laurent
@@ -201,3 +202,21 @@ def test_mixed_field_arithmetic_rejected(f4, f9):
         LaurentPoly.one(f4) + LaurentPoly.one(f9)
     with pytest.raises(InputError):
         LaurentPoly.one(f4) * f9.gen()
+
+
+def test_product_matches_term_by_term_reference(f4, f8, f9, f25):
+    """The code-level product loop against sums of monomial products."""
+    rng = make_rng("product-loop")
+    for fld in (FieldParams(2, 1), f4, f8, f9, f25):
+        for _ in range(12):
+            a = random_laurent(fld, rng, -6, 3, density=0.8)
+            b = random_laurent(fld, rng, -6, 3, density=0.8)
+            ref = LaurentPoly.zero(fld)
+            for e1, c1 in a.terms:
+                for e2, c2 in b.terms:
+                    ref = ref + LaurentPoly.t_pow(fld, e1 + e2, c1 * c2)
+            assert a * b == ref
+        # the t coefficient cancels: (1 + t)(1 - t) = 1 - t^2
+        x = LaurentPoly(fld, [(0, fld.one()), (1, fld.one())])
+        y = LaurentPoly(fld, [(0, fld.one()), (1, -fld.one())])
+        assert (x * y).terms == ((0, fld.one()), (2, -fld.one()))

@@ -11,6 +11,7 @@ from vfunc.ramification import (
     Subgroup,
     annihilator,
     filtration_fingerprint,
+    filtration_report,
     herbrand_phi,
     herbrand_psi,
     lines,
@@ -321,3 +322,13 @@ def test_quotient_compatibility_random(f4, f9, f25):
         for _ in range(reps):
             pair = random_pair(field, rng, -(field.p ** 2 + 1))
             assert quotient_compat_check(pair)
+
+
+def test_filtration_report_matches_the_public_functions(f4, f9):
+    for field in (f4, f9):
+        rng = make_rng(f"report-{field.p}")
+        for _ in range(3):
+            pair = random_pair(field, rng, -(field.p ** 2 + 1))
+            assert filtration_report(pair) == (
+                upper_filtration(pair), lower_filtration(pair),
+                quotient_compat_check(pair))
