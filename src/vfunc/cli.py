@@ -275,6 +275,8 @@ def cmd_sweep(args) -> int:
         raise _ParseFailure("count must be positive")
     if args.max_degree < 1:
         raise _ParseFailure("max-degree must be positive")
+    if args.jobs < 1:
+        raise _ParseFailure("jobs must be positive")
     field = _build_field(args.p, args.n, args.modulus)
     if field.n < 2:
         raise AInPrimeField("sweep needs n >= 2: with n = 1 every a lies "

@@ -10,7 +10,12 @@ conjugates.  det stays a public utility and the tests' reference for those
 norms.
 
 Kernels are only needed for matrices of constants, so they are solved by
-reduced row echelon form over F_q itself.
+reduced row echelon form over F_q itself.  The θ conditions matrix is
+2p^2 x p^2 and only a few percent nonzero, so the elimination keeps each
+row sparse, as a dict from column to the F_q code of a nonzero entry
+(FqElem.code), and does its row operations on codes through
+FieldParams.normalized_row and FieldParams.sub_scaled_row.  Work and
+memory then follow the nonzeros, with little fill-in on that matrix.
 
 Internally the determinant path works on dense integer coefficient
 blocks; a product of two blocks is one numpy int64 convolution after the
@@ -276,32 +281,43 @@ def kernel(M: LaurentMatrix) -> list[list[LaurentPoly]]:
     is 1, the other free coordinates are 0, and each pivot coordinate holds
     the negated echelon entry in column f.  Entries come back as constant
     LaurentPolys; a non-constant entry raises InputError.
+
+    Rows are {column: code} dicts of their nonzero entries.  The pivot for
+    column c is the first row at or below the echelon position with a
+    nonzero entry there; reduced echelon form is unique, so the basis does
+    not depend on that choice.
     """
     field = M.field
-    if not all(x.is_constant() for row in M.rows for x in row):
-        raise InputError("kernel needs a matrix of constants")
-    R = [[x.coeff(0) for x in row] for row in M.rows]
+    R = []
+    for row in M.rows:
+        codes = {}
+        for j, x in enumerate(row):
+            if x.terms:
+                if not x.is_constant():
+                    raise InputError("kernel needs a matrix of constants")
+                codes[j] = x.terms[0][1].code
+        R.append(codes)
     pivots: list[int] = []
     for c in range(M.ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, M.nrows) if not R[i][c].is_zero()), None)
+        pr = next((i for i in range(r, M.nrows) if c in R[i]), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c].inv()
-        R[r] = [x * inv for x in R[r]]
-        for i in range(M.nrows):
-            factor = R[i][c]
-            if i != r and not factor.is_zero():
-                R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
+        pivot = R[r] = field.normalized_row(R[r], c)
+        for i, row in enumerate(R):
+            if i != r and c in row:
+                field.sub_scaled_row(row, row[c], pivot)
         pivots.append(c)
+    zero = LaurentPoly.zero(field)
     basis = []
     for f in range(M.ncols):
         if f in pivots:
             continue
-        vec = [LaurentPoly.zero(field)] * M.ncols
+        vec = [zero] * M.ncols
         vec[f] = LaurentPoly.one(field)
-        for row, c in enumerate(pivots):
-            vec[c] = LaurentPoly(field, [(0, -R[row][f])])
+        for row, c in zip(R, pivots):
+            if f in row:
+                vec[c] = LaurentPoly(field, [(0, -field.from_code(row[f]))])
         basis.append(vec)
     return basis

@@ -320,7 +320,7 @@ def act(g: GroupElement, x: LElement) -> LElement:
     ish, jsh = g.i % p, g.j % p
     if ish == 0 and jsh == 0:
         return x
-    acc = [LaurentPoly.zero(pair.field) for _ in range(p * p)]
+    acc = [LaurentPoly.zero(pair.field)] * (p * p)
     for idx, c in enumerate(x.coeffs):
         if c.is_zero():
             continue

@@ -24,6 +24,9 @@ DEFAULT_MODULI = {
     (2, 2): (1, 1, 1),   # x^2 + x + 1
     (3, 2): (1, 0, 1),   # x^2 + 1
     (5, 2): (3, 0, 1),   # x^2 + 3
+    (7, 2): (1, 0, 1),   # x^2 + 1
+    (11, 2): (1, 0, 1),  # x^2 + 1
+    (13, 2): (2, 0, 1),  # x^2 + 2
 }
 
 
@@ -229,11 +232,52 @@ class FieldParams:
         elems = self._elems
         return [(e, elems[m]) for e, m in acc.items()]
 
+    # Rows for sparse elimination map a column index to the code of a
+    # nonzero entry; a missing index is a zero entry.
+
+    def normalized_row(self, row: dict[int, int], j: int) -> dict[int, int]:
+        """The row divided by its (nonzero) entry in column j."""
+        units = self._units
+        k = units - row[j]
+        out = {}
+        for i, c in row.items():
+            m = c + k
+            out[i] = m - units if m >= units else m
+        return out
+
+    def sub_scaled_row(self, row: dict[int, int], k: int,
+                       pivot: dict[int, int]) -> None:
+        """row -= g^k * pivot in place; entries that cancel leave the row.
+
+        The elimination step of a sparse row reduction, with _mul, _neg
+        and _add inlined on codes as in convolve.
+        """
+        units, zech = self._units, self._zech
+        k += self._neg_one
+        if k >= units:
+            k -= units
+        for j, c in pivot.items():
+            m = c + k
+            if m >= units:
+                m -= units
+            cur = row.get(j)
+            if cur is None:
+                row[j] = m
+                continue
+            z = zech[m - cur]
+            if z == units:
+                del row[j]
+            else:
+                m = cur + z
+                row[j] = m - units if m >= units else m
+
     @property
     def q(self) -> int:
         return self.p ** self.n
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FieldParams):
             return NotImplemented
         return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
@@ -258,6 +302,10 @@ class FieldParams:
                 raise InputError(f"too many coordinates for degree {self.n}")
             vec += [0] * (self.n - len(vec))
         return self._elems[self._log[tuple(c % self.p for c in vec)]]
+
+    def from_code(self, code: int) -> FqElem:
+        """The element whose code is `code` (see FqElem.code)."""
+        return self._elems[code]
 
     def zero(self) -> FqElem:
         return self.elem(0)

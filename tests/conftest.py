@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from vfunc.finite_field import FieldParams
+from vfunc.errors import InputError, SamplingExhausted
+from vfunc.extension_algebra import ExtensionPair, validate_pair
+from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import LaurentPoly
 
 
@@ -41,12 +43,39 @@ def random_laurent(field: FieldParams, rng: random.Random,
     return LaurentPoly(field, terms)
 
 
+#: Rejected draws a helper below allows in a row before it gives up, as in
+#: the command line's sampler.
+MAX_DRAWS = 1000
+
+
+def capped_draw(draw):
+    """Return the first draw() that is accepted.
+
+    A draw is rejected when it returns None or raises InputError.  After
+    MAX_DRAWS rejections in a row this raises SamplingExhausted; one capped
+    draw nested in another passes that on instead of counting it as one
+    more rejection.  Each attempt consumes exactly the random numbers
+    draw() takes, so seeded instances do not depend on the cap.
+    """
+    for _ in range(MAX_DRAWS):
+        try:
+            out = draw()
+        except SamplingExhausted:
+            raise
+        except InputError:
+            continue
+        if out is not None:
+            return out
+    raise SamplingExhausted(f"no accepted draw in {MAX_DRAWS} tries")
+
+
 def random_j_poly(field: FieldParams, rng: random.Random, min_exp: int,
                   allow_zero: bool = False) -> LaurentPoly:
     """Random member of J with support in [min_exp, -1]."""
     p = field.p
     exps = [e for e in range(min_exp, 0) if e % p != 0]
-    while True:
+
+    def draw():
         terms = []
         for e in exps:
             if rng.random() < 0.5:
@@ -54,5 +83,59 @@ def random_j_poly(field: FieldParams, rng: random.Random, min_exp: int,
                 if not c.is_zero():
                     terms.append((e, c))
         f = LaurentPoly(field, terms)
-        if allow_zero or not f.is_zero():
-            return f
+        return f if allow_zero or not f.is_zero() else None
+
+    return capped_draw(draw)
+
+
+def random_series(field: FieldParams, rng: random.Random,
+                  bound: int) -> LaurentPoly:
+    """Nonzero member of J with pole order at most bound: every exponent
+    in [-bound, -1] prime to p draws one coefficient, as `vfunc sweep`
+    does."""
+    def draw():
+        terms = []
+        for e in range(-bound, 0):
+            if e % field.p == 0:
+                continue
+            c = field.random_element(rng)
+            if not c.is_zero():
+                terms.append((e, c))
+        return LaurentPoly(field, terms) if terms else None
+
+    return capped_draw(draw)
+
+
+def pick_a(field: FieldParams, rng: random.Random) -> FqElem:
+    """Random action parameter outside the prime field."""
+    def draw():
+        a = field.random_element(rng)
+        return None if a.is_in_prime_field() else a
+
+    return capped_draw(draw)
+
+
+def random_pair(field: FieldParams, rng: random.Random,
+                min_exp: int = -5) -> ExtensionPair:
+    """Random valid pair; g1 and g2 from random_j_poly, then a."""
+    def draw():
+        g1 = random_j_poly(field, rng, min_exp)
+        g2 = random_j_poly(field, rng, min_exp)
+        return validate_pair(field, pick_a(field, rng), g1, g2)
+
+    return capped_draw(draw)
+
+
+def sweep_pair(field: FieldParams, rng: random.Random,
+               bound: int) -> ExtensionPair:
+    """Random valid pair drawn in `vfunc sweep`'s order: g1, g2, then a,
+    with g1 and g2 from random_series."""
+    def draw():
+        g1 = random_series(field, rng, bound)
+        g2 = random_series(field, rng, bound)
+        a = field.random_element(rng)
+        if a.is_in_prime_field():
+            return None
+        return validate_pair(field, a, g1, g2)
+
+    return capped_draw(draw)

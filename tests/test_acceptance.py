@@ -35,6 +35,8 @@ from vfunc import (
 )
 from vfunc.laurent import wp
 
+from conftest import capped_draw, random_series, sweep_pair
+
 STREAM_COUNTS = {2: 500, 3: 500, 5: 50}
 _pair_streams: dict[int, list] = {}
 
@@ -44,36 +46,13 @@ def _report(num: int, desc: str, ok: bool) -> None:
     assert ok, f"criterion {num} failed: {desc}"
 
 
-def _random_series(field, rng, bound):
-    while True:
-        terms = []
-        for e in range(-bound, 0):
-            if e % field.p == 0:
-                continue
-            c = field.random_element(rng)
-            if not c.is_zero():
-                terms.append((e, c))
-        if terms:
-            return LaurentPoly(field, terms)
-
-
 def pair_stream(p: int) -> list:
     if p not in _pair_streams:
         field = FieldParams(p, 2)
         rng = random.Random(f"acceptance:{p}")
         bound = p * p + 1
-        pairs = []
-        while len(pairs) < STREAM_COUNTS[p]:
-            g1 = _random_series(field, rng, bound)
-            g2 = _random_series(field, rng, bound)
-            a = field.random_element(rng)
-            if a.is_in_prime_field():
-                continue
-            try:
-                pairs.append(validate_pair(field, a, g1, g2))
-            except InputError:
-                continue
-        _pair_streams[p] = pairs
+        _pair_streams[p] = [sweep_pair(field, rng, bound)
+                            for _ in range(STREAM_COUNTS[p])]
     return _pair_streams[p]
 
 
@@ -165,14 +144,9 @@ def test_criterion_3_proof_internal_identities():
             ok = ok and res.s % (p * p) != 0
         field = FieldParams(p, 2)
         rng = random.Random(f"acceptance:binom:{p}")
-        while True:
-            try:
-                pair = validate_pair(field, field.gen(),
-                                     _random_series(field, rng, p + 2),
-                                     _random_series(field, rng, p + 2))
-                break
-            except InputError:
-                continue
+        pair = capped_draw(lambda: validate_pair(
+            field, field.gen(), random_series(field, rng, p + 2),
+            random_series(field, rng, p + 2)))
         As, Bs = binomial_basis(pair)
         for i in range(1, p):
             ok = ok and act(tau(p), As[i]) - As[i] == As[i - 1]
@@ -228,14 +202,9 @@ def test_criterion_5_algebra_suite():
     rng = random.Random("acceptance:norm")
     for p, reps in ((2, 70), (3, 30)):
         field = FieldParams(p, 2)
-        while True:
-            try:
-                pair = validate_pair(field, field.gen(),
-                                     _random_series(field, rng, 4),
-                                     _random_series(field, rng, 4))
-                break
-            except InputError:
-                continue
+        pair = capped_draw(lambda: validate_pair(
+            field, field.gen(), random_series(field, rng, 4),
+            random_series(field, rng, 4)))
         def rand_el():
             coords = []
             for _ in range(p * p):
@@ -266,23 +235,22 @@ def test_criterion_5_algebra_suite():
                 ok = ok and (x * y).frobenius() == x.frobenius() * y.frobenius()
     # reduction contract on 200 random inputs across the fields
     rng = random.Random("acceptance:reduce")
-    done = 0
     fields = [FieldParams(2, 2), FieldParams(3, 2), FieldParams(5, 2)]
-    while done < 200:
-        field = fields[done % len(fields)]
+
+    def reducible(field):
         terms = [(e, field.random_element(rng))
                  for e in range(-9, 3) if rng.random() < 0.45]
         g = LaurentPoly(field, [(e, c) for e, c in terms if not c.is_zero()])
-        try:
-            rep, witness = reduce_to_J(g)
-        except InputError:
-            continue
+        return (g,) + reduce_to_J(g)
+
+    for done in range(200):
+        field = fields[done % len(fields)]
+        g, rep, witness = capped_draw(lambda: reducible(field))
         residue = g - rep - wp(witness)
         ok = ok and rep.is_in_J()
         ok = ok and all(e > 0 for e in residue.support())
         rep2, _ = reduce_to_J(rep)
         ok = ok and rep2 == rep
-        done += 1
     # F_p-linearity of the representative map
     rng = random.Random("acceptance:linear")
     field = FieldParams(3, 2)

@@ -250,6 +250,12 @@ def test_sweep_rejects_bad_parameters(capsys):
                             "--count", "3"], capsys)
     assert code == EXIT_PARSE
 
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(["sweep", "--p", "2", "--n", "2",
+                                  "--max-degree", "5", "--seed", "1",
+                                  "--count", "3", "--jobs", jobs], capsys)
+        assert code == EXIT_PARSE and "jobs" in err and out == ""
+
     # with n = 1 no a lies outside the prime field, so no pair can be drawn
     code, _, err = run_cli(["sweep", "--p", "2", "--n", "1",
                             "--max-degree", "5", "--seed", "1",

@@ -230,3 +230,92 @@ def test_matvec_and_matmul_shapes(f4):
         M.matmul(M)
     with pytest.raises(InputError):
         LaurentMatrix(f4, [[one], [one, one]])
+
+
+def dense_kernel_reference(M: LaurentMatrix) -> list[list[LaurentPoly]]:
+    """Reduced row echelon form on dense rows of FqElem, natural column
+    order, first nonzero row as pivot: the kernel's specification."""
+    field = M.field
+    R = [[x.coeff(0) for x in row] for row in M.rows]
+    pivots = []
+    for c in range(M.ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, M.nrows) if not R[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = R[r][c].inv()
+        R[r] = [x * inv for x in R[r]]
+        for i in range(M.nrows):
+            factor = R[i][c]
+            if i != r and not factor.is_zero():
+                R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(M.ncols):
+        if f in pivots:
+            continue
+        vec = [LaurentPoly.zero(field)] * M.ncols
+        vec[f] = LaurentPoly.one(field)
+        for row, c in enumerate(pivots):
+            vec[c] = LaurentPoly(field, [(0, -R[row][f])])
+        basis.append(vec)
+    return basis
+
+
+def low_rank_matrix(field, rng, nr, nc, rank, density):
+    """A product of random nr x rank and rank x nc constant matrices, so
+    rows are dependent and elimination has to cancel whole rows."""
+    left = [[field.random_element(rng) for _ in range(rank)] for _ in range(nr)]
+    right = [[field.random_element(rng) if rng.random() < density
+              else field.zero() for _ in range(nc)] for _ in range(rank)]
+    rows = []
+    for i in range(nr):
+        row = []
+        for j in range(nc):
+            acc = field.zero()
+            for k in range(rank):
+                acc = acc + left[i][k] * right[k][j]
+            row.append(LaurentPoly.t_pow(field, 0, acc))
+        rows.append(row)
+    return LaurentMatrix(field, rows)
+
+
+def test_kernel_matches_dense_reference(f4, f8, f25):
+    f49 = FieldParams(7, 2)
+    rng = make_rng("kernel-sparse")
+    for fld in (f4, f8, f25, f49):
+        for density in (0.08, 0.2, 0.5, 1.0):
+            for _ in range(6):
+                nr, nc = rng.randrange(1, 13), rng.randrange(1, 11)
+                M = rand_constant_matrix(fld, rng, nr, nc, density)
+                assert kernel(M) == dense_kernel_reference(M)
+            for _ in range(4):
+                nr, nc = rng.randrange(2, 13), rng.randrange(2, 11)
+                rank = rng.randrange(1, min(nr, nc))
+                M = low_rank_matrix(fld, rng, nr, nc, rank, density)
+                ker = kernel(M)
+                assert len(ker) >= nc - rank
+                assert ker == dense_kernel_reference(M)
+
+
+def test_kernel_cancels_entries_exactly(f25):
+    """Rows that are sums and multiples of others reduce to zero rows, and
+    an entry that cancels mid-elimination stays absent."""
+    rng = make_rng("kernel-cancel")
+    c = [LaurentPoly.t_pow(f25, 0, f25.random_element(rng)) for _ in range(6)]
+    zero = LaurentPoly.zero(f25)
+    one = LaurentPoly.one(f25)
+    two = LaurentPoly.t_pow(f25, 0, 2)
+    r1 = [one, c[0], zero, c[1], zero]
+    r2 = [zero, one, c[2], zero, c[3]]
+    r3 = [x + y for x, y in zip(r1, r2)]          # dependent: r1 + r2
+    r4 = [two * x for x in r1]                    # dependent: 2 r1
+    # r5 - r1 has a zero in column 1, so that entry cancels
+    r5 = [one, c[0], c[4], zero, c[5]]
+    M = LaurentMatrix(f25, [r1, r2, r3, r4, r5])
+    ker = kernel(M)
+    assert ker == dense_kernel_reference(M)
+    assert len(ker) == 5 - 3
+    for vec in ker:
+        assert all(x.is_zero() for x in M.matvec(vec))

@@ -7,11 +7,11 @@ from vfunc import (
     FieldParams,
     G1Zero,
     G2DependentOnG1,
-    InputError,
     InternalCheckFailed,
     LaurentPoly,
     MixedExtensions,
     NotInJ,
+    SamplingExhausted,
 )
 from vfunc.exact_linalg import det
 from vfunc.extension_algebra import (
@@ -26,24 +26,7 @@ from vfunc.extension_algebra import (
     validate_pair,
 )
 
-from conftest import make_rng, random_j_poly, random_laurent
-
-
-def pick_a(field, rng):
-    while True:
-        a = field.random_element(rng)
-        if not a.is_in_prime_field():
-            return a
-
-
-def random_pair(field, rng, min_exp=-5):
-    while True:
-        g1 = random_j_poly(field, rng, min_exp)
-        g2 = random_j_poly(field, rng, min_exp)
-        try:
-            return validate_pair(field, pick_a(field, rng), g1, g2)
-        except InputError:
-            continue
+from conftest import MAX_DRAWS, make_rng, random_laurent, random_pair
 
 
 def base_pair(f4):
@@ -73,6 +56,20 @@ def test_validation_rejects_bad_pairs(f4, f9):
         validate_pair(f9, u, h, 2 * h)
     with pytest.raises(G2DependentOnG1):
         validate_pair(f9, u, h, LaurentPoly.zero(f9))
+
+
+def test_random_pair_gives_up_when_no_pair_exists():
+    """Over F_3 every a lies in the prime field: the nested draws stop
+    after MAX_DRAWS choices of a, not MAX_DRAWS^2."""
+    rng = make_rng("no-valid-a")
+    calls = []
+    real = rng.randrange
+    rng.randrange = lambda *args: calls.append(args) or real(*args)
+    with pytest.raises(SamplingExhausted):
+        random_pair(FieldParams(3, 1), rng)
+    # one pair attempt: a few coefficients for g1 and g2, then MAX_DRAWS
+    # choices of a, one randrange each
+    assert MAX_DRAWS <= len(calls) < MAX_DRAWS + 20
 
 
 def test_pair_is_hashable_and_frozen(f4):

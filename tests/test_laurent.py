@@ -220,3 +220,25 @@ def test_product_matches_term_by_term_reference(f4, f8, f9, f25):
         x = LaurentPoly(fld, [(0, fld.one()), (1, fld.one())])
         y = LaurentPoly(fld, [(0, fld.one()), (1, -fld.one())])
         assert (x * y).terms == ((0, fld.one()), (2, -fld.one()))
+
+
+def test_zero_operands_come_back_unchanged(f4, f9):
+    rng = make_rng("zero-operands")
+    zero = LaurentPoly.zero(f9)
+    for _ in range(5):
+        x = random_laurent(f9, rng)
+        assert x + zero is x and zero + x is x
+        assert x - zero is x
+        assert x * zero is zero and zero * x is zero
+        assert zero * f9.gen() is zero
+    assert -zero is zero
+    assert (zero + zero).is_zero()
+    # a zero from another field is still a mixed-field operand
+    one = LaurentPoly.one(f9)
+    other_zero = LaurentPoly.zero(f4)
+    for op in (lambda: one + other_zero, lambda: other_zero + one,
+               lambda: one - other_zero, lambda: one * other_zero,
+               lambda: other_zero * one, lambda: zero + other_zero,
+               lambda: other_zero * f9.gen()):
+        with pytest.raises(InputError):
+            op()

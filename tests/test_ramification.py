@@ -20,24 +20,7 @@ from vfunc.ramification import (
     upper_filtration,
 )
 
-from conftest import make_rng, random_j_poly
-
-
-def pick_a(field, rng):
-    while True:
-        a = field.random_element(rng)
-        if not a.is_in_prime_field():
-            return a
-
-
-def random_pair(field, rng, min_exp):
-    while True:
-        g1 = random_j_poly(field, rng, min_exp)
-        g2 = random_j_poly(field, rng, min_exp)
-        try:
-            return validate_pair(field, pick_a(field, rng), g1, g2)
-        except InputError:
-            continue
+from conftest import make_rng, random_pair
 
 
 def series(field, *pairs):

@@ -23,24 +23,7 @@ from vfunc.vfunction import (
     v_oracle,
 )
 
-from conftest import make_rng, random_j_poly, random_laurent
-
-
-def pick_a(field, rng):
-    while True:
-        a = field.random_element(rng)
-        if not a.is_in_prime_field():
-            return a
-
-
-def random_pair(field, rng, min_exp):
-    while True:
-        g1 = random_j_poly(field, rng, min_exp)
-        g2 = random_j_poly(field, rng, min_exp)
-        try:
-            return validate_pair(field, pick_a(field, rng), g1, g2)
-        except InputError:
-            continue
+from conftest import make_rng, random_laurent, random_pair
 
 
 def series(field, *pairs):
@@ -214,6 +197,23 @@ def test_routes_agree_on_random_pairs(f4, f9, f8):
             assert rf.s == ro.s
             p2 = field.p ** 2
             assert rf.value == -(-rf.s // p2)
+
+
+def test_routes_agree_beyond_p7():
+    """Formula against oracle (value and s) over F_121, F_169 and F_1331,
+    the first two on their default moduli.  Poles deeper than p reach
+    s > p^2, so v = 2 is covered as well as v = 1."""
+    f1331 = FieldParams(11, 3, (4, 1, 0, 1))   # x^3 + x + 4, no root in F_11
+    values = set()
+    for field in (FieldParams(11, 2), FieldParams(13, 2), f1331):
+        rng = make_rng(f"agree-large-{field.q}")
+        for min_exp in (-6, -6, -(field.p + 2)):
+            pair = random_pair(field, rng, min_exp)
+            rf = v_formula(pair)
+            ro = v_oracle(pair)
+            assert (rf.value, rf.s) == (ro.value, ro.s)
+            values.add(rf.value)
+    assert values == {1, 2}
 
 
 def test_value_insensitive_to_deep_perturbations(f4):
