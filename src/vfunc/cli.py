@@ -244,8 +244,7 @@ def _random_job(field: FieldParams, rng: random.Random,
             validate_pair(field, a, g1, g2)
         except InputError:
             continue
-        return ((field.p, field.n, field.modulus), str(a), g1.to_pairs(),
-                g2.to_pairs())
+        return str(a), g1.to_pairs(), g2.to_pairs()
     raise SamplingExhausted(f"no valid pair in {_MAX_DRAWS} draws")
 
 
@@ -255,19 +254,27 @@ def _sweep_jobs(field: FieldParams, seed: int, count: int,
     return [_random_job(field, rng, max_degree) for _ in range(count)]
 
 
-def _sweep_worker(job: tuple) -> tuple:
-    (p, n, modulus), a_str, g1_pairs, g2_pairs = job
-    field = FieldParams(p, n, modulus)
-    pair = validate_pair(field, field.parse(a_str),
-                         LaurentPoly.from_pairs(field, g1_pairs),
-                         LaurentPoly.from_pairs(field, g2_pairs))
-    rf = v_formula(pair)
-    ro = v_oracle(pair)
-    agree = rf.value == ro.value and rf.s == ro.s
-    fingerprint = filtration_fingerprint(upper_filtration(pair))
-    return (json.dumps(g1_pairs, separators=(",", ":")),
-            json.dumps(g2_pairs, separators=(",", ":")),
-            rf.value, ro.value, str(agree).lower(), rf.s, fingerprint)
+def _sweep_rows(field: FieldParams, jobs: list[tuple]) -> list[tuple]:
+    rows = []
+    for a_str, g1_pairs, g2_pairs in jobs:
+        pair = validate_pair(field, field.parse(a_str),
+                             LaurentPoly.from_pairs(field, g1_pairs),
+                             LaurentPoly.from_pairs(field, g2_pairs))
+        rf = v_formula(pair)
+        ro = v_oracle(pair)
+        agree = rf.value == ro.value and rf.s == ro.s
+        fingerprint = filtration_fingerprint(upper_filtration(pair))
+        rows.append((json.dumps(g1_pairs, separators=(",", ":")),
+                     json.dumps(g2_pairs, separators=(",", ":")),
+                     rf.value, ro.value, str(agree).lower(), rf.s,
+                     fingerprint))
+    return rows
+
+
+def _sweep_worker(task: tuple) -> list[tuple]:
+    """Rows of one worker's share of a sweep: its field is built once."""
+    (p, n, modulus), jobs = task
+    return _sweep_rows(FieldParams(p, n, modulus), jobs)
 
 
 def cmd_sweep(args) -> int:
@@ -284,10 +291,16 @@ def cmd_sweep(args) -> int:
     jobs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # Worker k takes jobs k, k + workers, ...; job i's row is then row
+        # i // workers of share i % workers.
+        key = (field.p, field.n, field.modulus)
+        tasks = [(key, jobs[k::workers]) for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            shares = list(pool.map(_sweep_worker, tasks))
+        results = [shares[i % workers][i // workers]
+                   for i in range(len(jobs))]
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        results = _sweep_rows(field, jobs)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["g1", "g2", "v_formula", "v_oracle", "agree", "s",
                      "fingerprint"])

@@ -32,7 +32,7 @@ from .errors import (
 )
 # det is unused here, but perfbench/tests look it up in this module's
 # namespace; it goes when the benchmark retires its det metrics.
-from .exact_linalg import LaurentMatrix, det  # noqa: F401
+from .exact_linalg import det  # noqa: F401
 from .finite_field import FieldParams, FqElem
 from .laurent import LaurentPoly
 
@@ -266,16 +266,6 @@ class LElement:
         return res
 
     # -- norms and valuations ------------------------------------------------
-
-    def mult_matrix(self) -> LaurentMatrix:
-        """Matrix of y -> self * y on the monomial basis (columns = images)."""
-        p = self.pair.p
-        cols = []
-        for idx in range(p * p):
-            i, j = divmod(idx, p)
-            cols.append((self * LElement.monomial(self.pair, i, j)).coeffs)
-        rows = [[cols[c][r] for c in range(p * p)] for r in range(p * p)]
-        return LaurentMatrix(self.pair.field, rows)
 
     def norm(self) -> LaurentPoly:
         """Norm down to K as the product of the p^2 Galois conjugates.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .errors import FieldTooLarge, InputError
+from .errors import FieldTooLarge, InputError, InternalCheckFailed
 
 #: Default moduli for the (p, n) combinations the command line supports.
 DEFAULT_MODULI = {
@@ -469,7 +469,8 @@ class FqElem:
         for _ in range(self.field.n):
             acc = acc + x
             x = x.frobenius()
-        assert all(c == 0 for c in acc.coeffs[1:])
+        if not acc.is_in_prime_field():
+            raise InternalCheckFailed(f"trace of {self} is {acc}, not in F_p")
         return acc.coeffs[0]
 
     def is_in_prime_field(self) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import InputError, NontrivialUnramifiedPart
+from .errors import InputError, InternalCheckFailed, NontrivialUnramifiedPart
 from .finite_field import FieldParams, FqElem
 
 #: Valuation of the zero series.  Comparisons and arithmetic with it follow
@@ -232,7 +232,9 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
             raise NontrivialUnramifiedPart(
                 f"constant term {c0} has absolute trace {c0.abs_trace()}")
         x = field.artin_schreier_solve(c0)
-        assert x is not None
+        if x is None:
+            raise InternalCheckFailed(
+                f"no Artin-Schreier root of trace-zero constant {c0}")
         _accumulate(witness, 0, x)
     rep = LaurentPoly(field, {e: c for e, c in work.items() if e < 0})
     return rep, LaurentPoly(field, witness)

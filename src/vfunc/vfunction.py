@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
-from .exact_linalg import LaurentMatrix, kernel
+from .exact_linalg import kernel
 from .extension_algebra import ExtensionPair, GroupElement, LElement, act
 from .laurent import INFINITY, LaurentPoly
 
@@ -91,17 +91,17 @@ def _condition_images(pair: ExtensionPair, m: LElement) -> tuple[LElement, LElem
     return first, second
 
 
-def theta_conditions_matrix(pair: ExtensionPair) -> LaurentMatrix:
-    """Stacked matrix of both conditions on the monomial basis, 2p^2 x p^2."""
+def theta_conditions_matrix(pair: ExtensionPair) -> list[list[LaurentPoly]]:
+    """Rows of the stacked matrix of both conditions on the monomial basis,
+    2p^2 x p^2."""
     p = pair.p
     n = p * p
     cols = []
     for idx in range(n):
         i, j = divmod(idx, p)
         first, second = _condition_images(pair, LElement.monomial(pair, i, j))
-        cols.append(list(first.coeffs) + list(second.coeffs))
-    rows = [[cols[c][r] for c in range(n)] for r in range(2 * n)]
-    return LaurentMatrix(pair.field, rows)
+        cols.append(first.coeffs + second.coeffs)
+    return [list(row) for row in zip(*cols)]
 
 
 def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
@@ -114,7 +114,7 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     divisible by p^2) would break the lattice splitting and raises.
     """
     p = pair.p
-    basis = kernel(theta_conditions_matrix(pair))
+    basis = kernel(pair.field, theta_conditions_matrix(pair))
     if len(basis) != 2:
         raise InternalCheckFailed(
             f"solution space has dimension {len(basis)}, expected 2")

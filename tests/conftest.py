@@ -5,7 +5,7 @@ import random
 import pytest
 
 from vfunc.errors import InputError, SamplingExhausted
-from vfunc.extension_algebra import ExtensionPair, validate_pair
+from vfunc.extension_algebra import ExtensionPair, LElement, validate_pair
 from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import LaurentPoly
 
@@ -139,3 +139,31 @@ def sweep_pair(field: FieldParams, rng: random.Random,
         return validate_pair(field, a, g1, g2)
 
     return capped_draw(draw)
+
+
+# -- matrices as lists of rows -----------------------------------------------
+
+def matvec(field: FieldParams, rows, vec) -> list[LaurentPoly]:
+    """Product of a matrix, as rows of LaurentPolys, with a vector."""
+    out = []
+    for row in rows:
+        acc = LaurentPoly.zero(field)
+        for x, y in zip(row, vec, strict=True):
+            acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def matmul(field: FieldParams, left, right) -> list[list[LaurentPoly]]:
+    """Product of two matrices given as rows of LaurentPolys."""
+    cols = list(zip(*right))
+    return [matvec(field, cols, row) for row in left]
+
+
+def mult_matrix(x: LElement):
+    """Rows of the matrix of y -> x * y on the monomial basis, whose
+    columns are the images of the basis monomials."""
+    p = x.pair.p
+    cols = [(x * LElement.monomial(x.pair, i, j)).coeffs
+            for i in range(p) for j in range(p)]
+    return [list(row) for row in zip(*cols)]

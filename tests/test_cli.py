@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import vfunc
+from vfunc import ramification
 from vfunc.cli import (
     _MAX_DRAWS,
     EXIT_INVALID,
@@ -17,6 +21,7 @@ from vfunc.cli import (
 )
 from vfunc.errors import G2DependentOnG1, LatticeAssertionFailed
 from vfunc.finite_field import FieldParams
+from vfunc.laurent import LaurentPoly
 
 
 def run_cli(argv, capsys):
@@ -173,10 +178,9 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
-def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
-    # a fake pool records its size and maps serially: no process starts
-    sizes = []
-
+def fake_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that records its size in sizes
+    and maps serially: no process starts."""
     class FakePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -190,7 +194,12 @@ def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("vfunc.cli.ProcessPoolExecutor", FakePool)
+    return FakePool
+
+
+def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr("vfunc.cli.ProcessPoolExecutor", fake_pool(sizes))
     _, serial, _ = run_cli(sweep_args(), capsys)
     # (CPU count, --jobs, --count, pool size or None for a serial run)
     for cpus, jobs, count, size in ((4, 100000, 8, 4), (16, 100000, 8, 8),
@@ -202,6 +211,30 @@ def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
         assert sizes == ([] if size is None else [size])
         if count == 8:
             assert out == serial
+
+
+def test_sweep_builds_its_field_once_per_process(monkeypatch, capsys):
+    built = []
+
+    class CountingField(FieldParams):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("vfunc.cli.FieldParams", CountingField)
+    code, serial, _ = run_cli(sweep_args(), capsys)
+    assert code == EXIT_OK
+    assert len(built) == 1
+    # under --jobs each worker builds the field once for its share
+    sizes = []
+    monkeypatch.setattr("vfunc.cli.ProcessPoolExecutor", fake_pool(sizes))
+    monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
+    for jobs in (2, 3):
+        built.clear()
+        code, out, _ = run_cli(sweep_args(jobs=jobs), capsys)
+        assert code == EXIT_OK
+        assert sizes[-1] == jobs and len(built) == 1 + jobs
+        assert out == serial
 
 
 def test_exit_code_parse_failures(tmp_path, capsys):
@@ -304,6 +337,33 @@ def test_internal_check_failure_exits_mismatch(tmp_path, capsys,
     assert out == ""
     assert err == ("internal check failed: LatticeAssertionFailed: "
                    "s' = 8 is divisible by p^2\n")
+
+
+def test_missing_artin_schreier_root_exits_mismatch(tmp_path, capsys,
+                                                    monkeypatch):
+    # Lines of a valid pair have no constant term, so give each one the
+    # trace-zero constant 1 of F_4 for reduce_to_J to remove.
+    reduce_to_J = ramification.reduce_to_J
+    monkeypatch.setattr(ramification, "reduce_to_J",
+                        lambda g: reduce_to_J(g + LaurentPoly.one(g.field)))
+    monkeypatch.setattr(FieldParams, "artin_schreier_solve",
+                        lambda self, c: None)
+    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+    code, out, err = run_cli(["filtration", "--input", path], capsys)
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err == ("internal check failed: InternalCheckFailed: no "
+                   "Artin-Schreier root of trace-zero constant 1,0\n")
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(vfunc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vfunc.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_package_exports_validate_pair():

@@ -5,34 +5,34 @@ import itertools
 import pytest
 
 from vfunc.errors import InputError, NonSquare
-from vfunc.exact_linalg import LaurentMatrix, det, kernel
+from vfunc.exact_linalg import det, kernel
 from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly
 
-from conftest import make_rng, random_laurent
+from conftest import make_rng, matmul, matvec, random_laurent
 
 
-def det_by_permutations(M: LaurentMatrix) -> LaurentPoly:
+def det_by_permutations(field: FieldParams, rows) -> LaurentPoly:
     """Independent oracle: Leibniz expansion, fine for tiny matrices."""
-    n = M.nrows
-    total = LaurentPoly.zero(M.field)
+    n = len(rows)
+    total = LaurentPoly.zero(field)
     for perm in itertools.permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = LaurentPoly.one(M.field)
+        prod = LaurentPoly.one(field)
         for i in range(n):
-            prod = prod * M[i, perm[i]]
+            prod = prod * rows[i][perm[i]]
         total = total + (sign * prod if sign > 0 else -(prod))
     return total
 
 
 def rand_matrix(field, rng, nr, nc, lo=-4, hi=3, density=0.6):
-    return LaurentMatrix(field, [
+    return [
         [random_laurent(field, rng, lo=lo, hi=hi, density=density) for _ in range(nc)]
-        for _ in range(nr)])
+        for _ in range(nr)]
 
 
 def test_det_examples(f4):
@@ -40,14 +40,15 @@ def test_det_examples(f4):
     t = LaurentPoly.t_pow(f4, 1)
     tinv = LaurentPoly.t_pow(f4, -1)
     zero = LaurentPoly.zero(f4)
-    assert det(LaurentMatrix(f4, [[t, one], [zero, tinv]])) == one
-    assert det(LaurentMatrix(f4, [[tinv, one], [one, t]])) == zero
+    assert det(f4, [[t, one], [zero, tinv]]) == one
+    assert det(f4, [[tinv, one], [one, t]]) == zero
+    assert det(f4, []) == one
 
 
 def test_det_nonsquare_rejected(f4):
     one = LaurentPoly.one(f4)
     with pytest.raises(NonSquare):
-        det(LaurentMatrix(f4, [[one, one]]))
+        det(f4, [[one, one]])
 
 
 def test_det_small_sizes_against_permanent_expansion(f4, f9, f25, f8):
@@ -56,7 +57,7 @@ def test_det_small_sizes_against_permanent_expansion(f4, f9, f25, f8):
         for n in (1, 2, 3, 4):
             for _ in range(12):
                 M = rand_matrix(fld, rng, n, n)
-                assert det(M) == det_by_permutations(M)
+                assert det(fld, M) == det_by_permutations(fld, M)
 
 
 def test_det_multiplicative(f9):
@@ -65,7 +66,7 @@ def test_det_multiplicative(f9):
         for _ in range(8):
             A = rand_matrix(f9, rng, n, n)
             B = rand_matrix(f9, rng, n, n)
-            assert det(A.matmul(B)) == det(A) * det(B)
+            assert det(f9, matmul(f9, A, B)) == det(f9, A) * det(f9, B)
 
 
 def test_det_triangular_valuation(f9):
@@ -82,13 +83,11 @@ def test_det_triangular_valuation(f9):
                 elif j == i:
                     e = rng.randrange(-5, 5)
                     vals.append(e)
-                    row.append(LaurentPoly.t_pow(f9, e, f9.random_element(rng) + 1)
-                               if False else LaurentPoly.t_pow(f9, e))
+                    row.append(LaurentPoly.t_pow(f9, e))
                 else:
                     row.append(random_laurent(f9, rng))
             rows.append(row)
-        M = LaurentMatrix(f9, rows)
-        assert det(M).valuation() == sum(vals)
+        assert det(f9, rows).valuation() == sum(vals)
 
 
 def test_det_larger_random_against_expansion(f25):
@@ -96,7 +95,7 @@ def test_det_larger_random_against_expansion(f25):
     rng = make_rng("det-5x5")
     for _ in range(3):
         M = rand_matrix(f25, rng, 5, 5, lo=-3, hi=2)
-        assert det(M) == det_by_permutations(M)
+        assert det(f25, M) == det_by_permutations(f25, M)
 
 
 def test_det_wide_support_uses_same_arithmetic(f25, f8):
@@ -105,45 +104,45 @@ def test_det_wide_support_uses_same_arithmetic(f25, f8):
     rng = make_rng("det-wide")
     for fld in (f25, f8, FieldParams(5, 1)):
         M = rand_matrix(fld, rng, 3, 3, lo=-40, hi=40, density=0.8)
-        assert det(M) == det_by_permutations(M)
+        assert det(fld, M) == det_by_permutations(fld, M)
 
 
 def test_det_singular_and_zero(f4):
     zero = LaurentPoly.zero(f4)
     one = LaurentPoly.one(f4)
-    assert det(LaurentMatrix(f4, [[zero, zero], [zero, zero]])).is_zero()
-    M = LaurentMatrix(f4, [[one, one], [one, one]])
-    assert det(M).is_zero()
+    assert det(f4, [[zero, zero], [zero, zero]]).is_zero()
+    M = [[one, one], [one, one]]
+    assert det(f4, M).is_zero()
     rng = make_rng("det-sing")
     for _ in range(6):
         # rank-1 matrix: outer product has zero determinant
         u = [random_laurent(f4, rng) for _ in range(3)]
         v = [random_laurent(f4, rng) for _ in range(3)]
-        M = LaurentMatrix(f4, [[a * b for b in v] for a in u])
-        assert det(M).is_zero()
+        M = [[a * b for b in v] for a in u]
+        assert det(f4, M).is_zero()
 
 
 def rand_constant_matrix(field, rng, nr, nc, density=0.5):
-    return LaurentMatrix(field, [
+    return [
         [LaurentPoly.t_pow(field, 0, field.random_element(rng))
          if rng.random() < density else LaurentPoly.zero(field)
          for _ in range(nc)]
-        for _ in range(nr)])
+        for _ in range(nr)]
 
 
 def test_kernel_examples(f4):
     one = LaurentPoly.one(f4)
     w = LaurentPoly.t_pow(f4, 0, f4.gen())
     zero = LaurentPoly.zero(f4)
-    ker = kernel(LaurentMatrix(f4, [[zero, zero]]))
+    ker = kernel(f4, [[zero, zero]])
     assert ker == [[one, zero], [zero, one]]
-    ker = kernel(LaurentMatrix(f4, [[one, w]]))
+    ker = kernel(f4, [[one, w]])
     assert ker == [[w, one]]  # char 2: -w == w
     # a zero column before the pivot stays free
-    M = LaurentMatrix(f4, [[zero, one, w], [zero, one, w]])
-    assert kernel(M) == [[one, zero, zero], [zero, w, one]]
-    for vec in kernel(M):
-        assert all(x.is_zero() for x in M.matvec(vec))
+    M = [[zero, one, w], [zero, one, w]]
+    assert kernel(f4, M) == [[one, zero, zero], [zero, w, one]]
+    for vec in kernel(f4, M):
+        assert all(x.is_zero() for x in matvec(f4, M, vec))
 
 
 def test_kernel_annihilates_and_counts(f9, f25):
@@ -153,17 +152,17 @@ def test_kernel_annihilates_and_counts(f9, f25):
             nr = rng.randrange(1, 5)
             nc = rng.randrange(1, 5)
             M = rand_constant_matrix(fld, rng, nr, nc)
-            ker = kernel(M)
+            ker = kernel(fld, M)
             for vec in ker:
-                assert all(x.is_zero() for x in M.matvec(vec))
+                assert all(x.is_zero() for x in matvec(fld, M, vec))
             # rank + nullity = ncols, rank measured independently by minors
             rank = 0
             for size in range(min(nr, nc), 0, -1):
                 found = False
                 for rsel in itertools.combinations(range(nr), size):
                     for csel in itertools.combinations(range(nc), size):
-                        sub = LaurentMatrix(fld, [[M[i, j] for j in csel] for i in rsel])
-                        if not det(sub).is_zero():
+                        sub = [[M[i][j] for j in csel] for i in rsel]
+                        if not det(fld, sub).is_zero():
                             found = True
                             break
                     if found:
@@ -179,7 +178,7 @@ def test_kernel_echelon_shape_and_normalization(f9):
     one = LaurentPoly.one(f9)
     for _ in range(10):
         M = rand_constant_matrix(f9, rng, 3, 5)
-        ker = kernel(M)
+        ker = kernel(f9, M)
         free_cols = []
         for vec in ker:
             nz = [c for c, x in enumerate(vec) if not x.is_zero()]
@@ -199,63 +198,63 @@ def test_kernel_rejects_non_constant_entries(f9):
     one = LaurentPoly.one(f9)
     t = LaurentPoly.t_pow(f9, 1)
     with pytest.raises(InputError):
-        kernel(LaurentMatrix(f9, [[one, t]]))
+        kernel(f9, [[one, t]])
 
 
 def test_kernel_deterministic(f25):
     rng = make_rng("kernel-det")
     M = rand_constant_matrix(f25, rng, 4, 6)
-    assert kernel(M) == kernel(M)
+    assert kernel(f25, M) == kernel(f25, M)
 
 
 def test_constant_matrix_kernel_stays_constant(f9):
     # constant matrices must produce constant kernel vectors with pivot 1
     rng = make_rng("kernel-const")
     for _ in range(10):
-        M = LaurentMatrix(f9, [
+        M = [
             [LaurentPoly.t_pow(f9, 0, f9.random_element(rng)) for _ in range(4)]
-            for _ in range(2)])
-        for vec in kernel(M):
+            for _ in range(2)]
+        for vec in kernel(f9, M):
             for x in vec:
                 assert x.is_zero() or x.is_constant()
-            assert all(y.is_zero() for y in M.matvec(vec))
+            assert all(y.is_zero() for y in matvec(f9, M, vec))
 
 
-def test_matvec_and_matmul_shapes(f4):
+def test_ragged_and_foreign_rows_rejected(f4, f9):
     one = LaurentPoly.one(f4)
-    M = LaurentMatrix(f4, [[one, one]])
-    with pytest.raises(InputError):
-        M.matvec([one])
-    with pytest.raises(InputError):
-        M.matmul(M)
-    with pytest.raises(InputError):
-        LaurentMatrix(f4, [[one], [one, one]])
+    for fn in (det, kernel):
+        with pytest.raises(InputError):
+            fn(f4, [[one], [one, one]])
+        with pytest.raises(InputError):
+            fn(f4, [[LaurentPoly.one(f9)]])
+        with pytest.raises(InputError):
+            fn(f4, [[1]])
 
 
-def dense_kernel_reference(M: LaurentMatrix) -> list[list[LaurentPoly]]:
+def dense_kernel_reference(field: FieldParams, M) -> list[list[LaurentPoly]]:
     """Reduced row echelon form on dense rows of FqElem, natural column
     order, first nonzero row as pivot: the kernel's specification."""
-    field = M.field
-    R = [[x.coeff(0) for x in row] for row in M.rows]
+    R = [[x.coeff(0) for x in row] for row in M]
+    ncols = len(M[0]) if M else 0
     pivots = []
-    for c in range(M.ncols):
+    for c in range(ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, M.nrows) if not R[i][c].is_zero()), None)
+        pr = next((i for i in range(r, len(M)) if not R[i][c].is_zero()), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
         inv = R[r][c].inv()
         R[r] = [x * inv for x in R[r]]
-        for i in range(M.nrows):
+        for i in range(len(M)):
             factor = R[i][c]
             if i != r and not factor.is_zero():
                 R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
         pivots.append(c)
     basis = []
-    for f in range(M.ncols):
+    for f in range(ncols):
         if f in pivots:
             continue
-        vec = [LaurentPoly.zero(field)] * M.ncols
+        vec = [LaurentPoly.zero(field)] * ncols
         vec[f] = LaurentPoly.one(field)
         for row, c in enumerate(pivots):
             vec[c] = LaurentPoly(field, [(0, -R[row][f])])
@@ -278,7 +277,7 @@ def low_rank_matrix(field, rng, nr, nc, rank, density):
                 acc = acc + left[i][k] * right[k][j]
             row.append(LaurentPoly.t_pow(field, 0, acc))
         rows.append(row)
-    return LaurentMatrix(field, rows)
+    return rows
 
 
 def test_kernel_matches_dense_reference(f4, f8, f25):
@@ -289,14 +288,14 @@ def test_kernel_matches_dense_reference(f4, f8, f25):
             for _ in range(6):
                 nr, nc = rng.randrange(1, 13), rng.randrange(1, 11)
                 M = rand_constant_matrix(fld, rng, nr, nc, density)
-                assert kernel(M) == dense_kernel_reference(M)
+                assert kernel(fld, M) == dense_kernel_reference(fld, M)
             for _ in range(4):
                 nr, nc = rng.randrange(2, 13), rng.randrange(2, 11)
                 rank = rng.randrange(1, min(nr, nc))
                 M = low_rank_matrix(fld, rng, nr, nc, rank, density)
-                ker = kernel(M)
+                ker = kernel(fld, M)
                 assert len(ker) >= nc - rank
-                assert ker == dense_kernel_reference(M)
+                assert ker == dense_kernel_reference(fld, M)
 
 
 def test_kernel_cancels_entries_exactly(f25):
@@ -313,9 +312,9 @@ def test_kernel_cancels_entries_exactly(f25):
     r4 = [two * x for x in r1]                    # dependent: 2 r1
     # r5 - r1 has a zero in column 1, so that entry cancels
     r5 = [one, c[0], c[4], zero, c[5]]
-    M = LaurentMatrix(f25, [r1, r2, r3, r4, r5])
-    ker = kernel(M)
-    assert ker == dense_kernel_reference(M)
+    M = [r1, r2, r3, r4, r5]
+    ker = kernel(f25, M)
+    assert ker == dense_kernel_reference(f25, M)
     assert len(ker) == 5 - 3
     for vec in ker:
-        assert all(x.is_zero() for x in M.matvec(vec))
+        assert all(x.is_zero() for x in matvec(f25, M, vec))

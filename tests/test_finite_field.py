@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from vfunc.errors import FieldTooLarge, InputError
+from vfunc.errors import FieldTooLarge, InputError, InternalCheckFailed
 from vfunc.finite_field import DEFAULT_MODULI, MAX_Q, FieldParams, FqElem
 
 from conftest import make_rng
@@ -109,6 +109,13 @@ def test_abs_trace_values(f4):
     assert (w + 1).abs_trace() == 1
     assert f4.one().abs_trace() == 0   # 1 + 1 = 0 in char 2
     assert f4.zero().abs_trace() == 0
+
+
+def test_trace_off_the_prime_field_fails_check(f9, monkeypatch):
+    # with Frobenius the identity, the "trace" of w over F_9 is 2w
+    monkeypatch.setattr(FqElem, "frobenius", lambda self: self)
+    with pytest.raises(InternalCheckFailed, match="not in F_p"):
+        f9.gen().abs_trace()
 
 
 def test_trace_is_additive_onto_prime_field(f9, f25, f8):

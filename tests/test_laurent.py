@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from vfunc.errors import InputError, NontrivialUnramifiedPart
+from vfunc.errors import InputError, InternalCheckFailed, NontrivialUnramifiedPart
 from vfunc.finite_field import FieldParams
 from vfunc.laurent import INFINITY, LaurentPoly, reduce_to_J, wp
 
@@ -154,6 +154,13 @@ def test_reduce_constant_with_nonzero_trace(f4, f9):
     g = LaurentPoly(f9, [(0, f9.one()), (-1, f9.one())])
     with pytest.raises(NontrivialUnramifiedPart):
         reduce_to_J(g)
+
+
+def test_reduce_without_artin_schreier_root_fails_check(f4, monkeypatch):
+    monkeypatch.setattr(FieldParams, "artin_schreier_solve",
+                        lambda self, c: None)
+    with pytest.raises(InternalCheckFailed, match="Artin-Schreier"):
+        reduce_to_J(LaurentPoly.one(f4))
 
 
 def test_reduce_idempotent_and_wp_invariant(f4, f9):

@@ -1,0 +1,106 @@
+"""Property tests: Hypothesis searches valid pairs for a counterexample and
+shrinks any it finds to a minimal pair.
+
+Every property runs derandomized, so the examples are the same on every
+run.  These add to the seeded tests elsewhere and replace none of them.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vfunc.extension_algebra import LElement, validate_pair
+from vfunc.finite_field import FieldParams
+from vfunc.laurent import LaurentPoly
+from vfunc.ramification import quotient_compat_check
+from vfunc.vfunction import v_formula, v_oracle
+
+from conftest import capped_draw
+
+each_field = pytest.mark.parametrize(
+    "field", [FieldParams(p, 2) for p in (2, 3, 5)], ids=lambda f: f"F{f.q}")
+
+
+def laurent(field: FieldParams, exponents: list[int], coefficients: list,
+            max_terms: int):
+    """Nonzero LaurentPolys with at most max_terms terms, on the given
+    exponents and nonzero coefficients; both shrink toward the front of
+    their lists."""
+    return st.dictionaries(st.sampled_from(exponents),
+                           st.sampled_from(coefficients),
+                           min_size=1, max_size=max_terms).map(
+        lambda terms: LaurentPoly(field, terms))
+
+
+@st.composite
+def valid_pairs(draw, field: FieldParams, max_pole: int, max_terms: int):
+    """Valid pairs over field whose g1 and g2 have pole order at most
+    max_pole and at most max_terms terms.
+
+    A draw that validate_pair rejects is redrawn, up to capped_draw's cap.
+    Exponents shrink toward -1, a and the coefficients of g2 toward the
+    first element outside F_p, and those of g1 toward 1, so the smallest
+    draw, g1 = t^-1 and g2 = a*t^-1, is already valid.
+    """
+    p = field.p
+    exponents = [e for e in range(-1, -max_pole - 1, -1) if e % p]
+    nonzero = list(field.elements())[1:]
+    outside = [x for x in nonzero if not x.is_in_prime_field()]
+    inside = [x for x in nonzero if x.is_in_prime_field()]
+    actions = st.sampled_from(outside)
+    g1s = laurent(field, exponents, inside + outside, max_terms)
+    g2s = laurent(field, exponents, outside + inside, max_terms)
+    return capped_draw(lambda: validate_pair(
+        field, draw(actions), draw(g1s), draw(g2s)))
+
+
+@st.composite
+def element_pairs(draw, field: FieldParams):
+    """Two elements of the algebra L of one valid pair, each with at most
+    two nonzero coordinates of at most two terms."""
+    pair = draw(valid_pairs(field, max_pole=2 * field.p + 1, max_terms=2))
+    coords = st.dictionaries(st.integers(0, field.p ** 2 - 1),
+                             laurent(field, [0, -1, 1],
+                                     list(field.elements())[1:], 2),
+                             max_size=2)
+
+    def element():
+        chosen = draw(coords)
+        zero = LaurentPoly.zero(field)
+        return LElement(pair, [chosen.get(i, zero)
+                               for i in range(field.p ** 2)])
+
+    return element(), element()
+
+
+def derandomized(max_examples: int):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@each_field
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_formula_equals_oracle(field, data):
+    pair = data.draw(valid_pairs(field, max_pole=field.p ** 2 + 2,
+                                 max_terms=3))
+    rf, ro = v_formula(pair), v_oracle(pair)
+    assert (rf.value, rf.s) == (ro.value, ro.s)
+
+
+@each_field
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_quotient_compatibility_holds(field, data):
+    pair = data.draw(valid_pairs(field, max_pole=field.p ** 2 + 2,
+                                 max_terms=3))
+    assert quotient_compat_check(pair)
+
+
+@each_field
+@derandomized(max_examples=15)
+@given(data=st.data())
+def test_norm_is_multiplicative(field, data):
+    x, y = data.draw(element_pairs(field))
+    assert (x * y).norm() == x.norm() * y.norm()

@@ -23,7 +23,7 @@ from vfunc.vfunction import (
     v_oracle,
 )
 
-from conftest import make_rng, random_laurent, random_pair
+from conftest import make_rng, matvec, random_laurent, random_pair
 
 
 def series(field, *pairs):
@@ -86,10 +86,10 @@ def test_conditions_matrix_shape_and_constancy(f4, f9):
         pair = random_pair(field, rng, -(field.p ** 2 + 1))
         m = theta_conditions_matrix(pair)
         n = field.p ** 2
-        assert (m.nrows, m.ncols) == (2 * n, n)
+        assert (len(m), {len(row) for row in m}) == (2 * n, {n})
         for i in range(2 * n):
             for j in range(n):
-                assert m[i, j].is_zero() or m[i, j].is_constant()
+                assert m[i][j].is_zero() or m[i][j].is_constant()
 
 
 def test_constant_and_pairing_element_solve_conditions(f4, f9):
@@ -98,7 +98,7 @@ def test_constant_and_pairing_element_solve_conditions(f4, f9):
         pair = random_pair(field, rng, -(field.p ** 2 + 1))
         m = theta_conditions_matrix(pair)
         for sol in (LElement.one(pair), LElement.gamma(pair)):
-            image = m.matvec(list(sol.coeffs))
+            image = matvec(field, m, sol.coeffs)
             assert all(c.is_zero() for c in image)
 
 
@@ -108,7 +108,7 @@ def test_solution_space_has_dimension_two(f4, f9):
         rng = make_rng(f"kerneldim-{field.p}")
         for _ in range(reps):
             pair = random_pair(field, rng, -(field.p ** 2 + 1))
-            assert len(kernel(theta_conditions_matrix(pair))) == 2
+            assert len(kernel(field, theta_conditions_matrix(pair))) == 2
 
 
 def test_lattice_structure(f4):
