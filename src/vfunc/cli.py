@@ -60,6 +60,9 @@ def _parse_modulus(raw) -> tuple[int, ...]:
     if isinstance(raw, str):
         parts = raw.split(",")
     elif isinstance(raw, list):
+        # int() would truncate a float and read a bool as 0 or 1
+        if any(isinstance(x, (bool, float)) for x in raw):
+            raise _ParseFailure(f"modulus entries must be integers: {raw!r}")
         parts = raw
     else:
         raise _ParseFailure(f"modulus must be a list or string, got {raw!r}")
@@ -70,7 +73,7 @@ def _parse_modulus(raw) -> tuple[int, ...]:
 
 
 def _build_field(p, n, modulus=None) -> FieldParams:
-    if not isinstance(p, int) or not isinstance(n, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, n)):
         raise _ParseFailure("p and n must be integers")
     if modulus is None:
         return FieldParams(p, n)

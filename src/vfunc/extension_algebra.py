@@ -106,50 +106,77 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
     return ExtensionPair(field, a, g1, g2)
 
 
-def _fold(seq: list[LaurentPoly], g: LaurentPoly, p: int) -> list[LaurentPoly]:
-    """Reduce coefficients of z^0 .. z^(2p-2) in place modulo z^p = z + g.
+def _add_into(acc: dict, key, c: LaurentPoly) -> None:
+    acc[key] = acc[key] + c if key in acc else c
+
+
+def _fold(grid: dict[tuple[int, int], LaurentPoly],
+          pair: ExtensionPair) -> dict[int, LaurentPoly]:
+    """Reduce a grid {(I, J): coefficient of alpha^I beta^J}, I, J <= 2p-2,
+    modulo alpha^p = alpha + g1 and then beta^p = beta + g2.
 
     z^k for k >= p becomes z^(k-p+1) + g * z^(k-p) with k - p + 1 < p, so
-    one pass leaves only exponents below p; returns those p coefficients.
+    one pass per generator leaves only exponents below p; returns the
+    coordinates keyed by i*p + j.
     """
-    for k in range(p, len(seq)):
-        c = seq[k]
-        if c:
-            seq[k - p + 1] = seq[k - p + 1] + c
-            seq[k - p] = seq[k - p] + c * g
-    return seq[:p]
+    p = pair.p
+    for i, j in [key for key in grid if key[0] >= p]:
+        c = grid.pop((i, j))
+        _add_into(grid, (i - p + 1, j), c)
+        _add_into(grid, (i - p, j), c * pair.g1)
+    for i, j in [key for key in grid if key[1] >= p]:
+        c = grid.pop((i, j))
+        _add_into(grid, (i, j - p + 1), c)
+        _add_into(grid, (i, j - p), c * pair.g2)
+    return {i * p + j: c for (i, j), c in grid.items()}
 
 
 class LElement:
-    """Element of L on the monomial basis; coefficient index is i*p + j."""
+    """Element of L on the monomial basis alpha^i beta^j.
 
-    __slots__ = ("pair", "coeffs")
+    terms holds the nonzero coordinates as (i*p + j, coefficient) pairs
+    sorted by index, the same shape as LaurentPoly.terms.
+    """
+
+    __slots__ = ("pair", "terms")
 
     def __init__(self, pair: ExtensionPair, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != pair.p ** 2:
-            raise InputError(f"expected {pair.p ** 2} coordinates")
+        """coeffs: the p^2 coordinates in index order, or a dict
+        {index: coefficient}; zero coordinates are dropped here."""
+        size = pair.p ** 2
+        if isinstance(coeffs, dict):
+            items = sorted(coeffs.items())
+            if items and not (0 <= items[0][0] and items[-1][0] < size):
+                raise InputError(f"coordinate index outside 0..{size - 1}")
+        else:
+            items = tuple(coeffs)
+            if len(items) != size:
+                raise InputError(f"expected {size} coordinates")
+            items = enumerate(items)
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", tuple((i, c) for i, c in items if c))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple[LaurentPoly, ...]:
+        """All p^2 coordinates in index order, zeros included."""
+        zero = LaurentPoly.zero(self.pair.field)
+        nonzero = dict(self.terms)
+        return tuple(nonzero.get(idx, zero) for idx in range(self.pair.p ** 2))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, pair: ExtensionPair) -> LElement:
-        z = LaurentPoly.zero(pair.field)
-        return cls(pair, [z] * pair.p ** 2)
+        return cls(pair, {})
 
     @classmethod
     def from_k(cls, pair: ExtensionPair, f: LaurentPoly) -> LElement:
         if f.field != pair.field:
             raise InputError("scalar over the wrong field")
-        z = LaurentPoly.zero(pair.field)
-        coords = [z] * pair.p ** 2
-        coords[0] = f
-        return cls(pair, coords)
+        return cls(pair, {0: f})
 
     @classmethod
     def one(cls, pair: ExtensionPair) -> LElement:
@@ -161,14 +188,9 @@ class LElement:
         p = pair.p
         if not (0 <= i < p and 0 <= j < p):
             raise InputError("monomial exponents out of range")
-        if isinstance(coeff, int):
+        if not isinstance(coeff, LaurentPoly):
             coeff = LaurentPoly.t_pow(pair.field, 0, coeff)
-        elif isinstance(coeff, FqElem):
-            coeff = LaurentPoly.t_pow(pair.field, 0, coeff)
-        z = LaurentPoly.zero(pair.field)
-        coords = [z] * p ** 2
-        coords[i * p + j] = coeff
-        return cls(pair, coords)
+        return cls(pair, {i * p + j: coeff})
 
     @classmethod
     def alpha(cls, pair: ExtensionPair) -> LElement:
@@ -181,28 +203,25 @@ class LElement:
     @classmethod
     def gamma(cls, pair: ExtensionPair) -> LElement:
         """The pairing element a*alpha + beta."""
-        p = pair.p
-        z = LaurentPoly.zero(pair.field)
-        coords = [z] * p ** 2
-        coords[p] = LaurentPoly.t_pow(pair.field, 0, pair.a)
-        coords[1] = LaurentPoly.one(pair.field)
-        return cls(pair, coords)
+        return cls(pair, {pair.p: LaurentPoly.t_pow(pair.field, 0, pair.a),
+                          1: LaurentPoly.one(pair.field)})
 
     # -- structure -----------------------------------------------------------
 
     def coeff(self, i: int, j: int) -> LaurentPoly:
-        return self.coeffs[i * self.pair.p + j]
+        return dict(self.terms).get(i * self.pair.p + j,
+                                    LaurentPoly.zero(self.pair.field))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LElement):
             return NotImplemented
-        return self.pair == other.pair and self.coeffs == other.coeffs
+        return self.pair == other.pair and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.pair, self.coeffs))
+        return hash((self.pair, self.terms))
 
     def _check(self, other: LElement) -> None:
         if self.pair != other.pair:
@@ -212,10 +231,13 @@ class LElement:
         if not isinstance(other, LElement):
             return NotImplemented
         self._check(other)
-        return LElement(self.pair, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        acc = dict(self.terms)
+        for idx, c in other.terms:
+            _add_into(acc, idx, c)
+        return LElement(self.pair, acc)
 
     def __neg__(self) -> LElement:
-        return LElement(self.pair, [-c for c in self.coeffs])
+        return LElement(self.pair, {idx: -c for idx, c in self.terms})
 
     def __sub__(self, other: LElement) -> LElement:
         if not isinstance(other, LElement):
@@ -225,30 +247,20 @@ class LElement:
     def __mul__(self, other):
         if isinstance(other, LElement):
             self._check(other)
-            pair = self.pair
-            p = pair.p
-            zero = LaurentPoly.zero(pair.field)
-            # cols[J][I] is the coefficient of alpha^I beta^J, I, J <= 2p-2
-            cols = [[zero] * (2 * p - 1) for _ in range(2 * p - 1)]
-            for idx1, c1 in enumerate(self.coeffs):
-                if c1.is_zero():
-                    continue
+            p = self.pair.p
+            grid: dict[tuple[int, int], LaurentPoly] = {}
+            for idx1, c1 in self.terms:
                 i1, j1 = divmod(idx1, p)
-                for idx2, c2 in enumerate(other.coeffs):
-                    if c2.is_zero():
-                        continue
+                for idx2, c2 in other.terms:
                     i2, j2 = divmod(idx2, p)
-                    col = cols[j1 + j2]
-                    col[i1 + i2] = col[i1 + i2] + c1 * c2
-            cols = [_fold(col, pair.g1, p) for col in cols]
-            acc = []
-            for i in range(p):
-                acc.extend(_fold([col[i] for col in cols], pair.g2, p))
-            return LElement(self.pair, acc)
+                    _add_into(grid, (i1 + i2, j1 + j2), c1 * c2)
+            return LElement(self.pair, _fold(grid, self.pair))
         if isinstance(other, (LaurentPoly, FqElem, int)):
             if not isinstance(other, LaurentPoly):
                 other = LaurentPoly.t_pow(self.pair.field, 0, other)
-            return LElement(self.pair, [c * other for c in self.coeffs])
+            elif other.field != self.pair.field:
+                raise InputError("scalar over the wrong field")
+            return LElement(self.pair, {idx: c * other for idx, c in self.terms})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -278,26 +290,22 @@ class LElement:
         y = self
         for j in range(1, p):
             y = y * act(GroupElement(p, 0, j), self)
-        if any(y.coeffs[p:]):
+        if any(idx >= p for idx, _ in y.terms):
             raise InternalCheckFailed("tau-orbit product is not in K(beta)")
         n = y
         for i in range(1, p):
             n = n * act(GroupElement(p, i, 0), y)
-        if any(n.coeffs[1:]):
+        if any(idx for idx, _ in n.terms):
             raise InternalCheckFailed("sigma-orbit product is not in K")
-        return n.coeffs[0]
+        return n.coeff(0, 0)
 
     def valuation(self):
         """v_L, normalized so v_L(t) = p^2; INFINITY on zero."""
         return self.norm().valuation()
 
     def __repr__(self) -> str:
-        parts = []
         p = self.pair.p
-        for idx, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                i, j = divmod(idx, p)
-                parts.append(f"({c})*A^{i}B^{j}")
+        parts = [f"({c})*A^{idx // p}B^{idx % p}" for idx, c in self.terms]
         return "LElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -310,20 +318,17 @@ def act(g: GroupElement, x: LElement) -> LElement:
     ish, jsh = g.i % p, g.j % p
     if ish == 0 and jsh == 0:
         return x
-    acc = [LaurentPoly.zero(pair.field)] * (p * p)
-    for idx, c in enumerate(x.coeffs):
-        if c.is_zero():
-            continue
+    acc: dict[int, LaurentPoly] = {}
+    for idx, c in x.terms:
         k, l = divmod(idx, p)
         for m in range(k + 1):
             am = comb(k, m) * pow(jsh, k - m, p) % p
             if am == 0:
                 continue
             for r in range(l + 1):
-                br = comb(l, r) * pow(ish, l - r, p) % p
-                s = am * br % p
+                s = am * comb(l, r) * pow(ish, l - r, p) % p
                 if s:
-                    acc[m * p + r] = acc[m * p + r] + c * s
+                    _add_into(acc, m * p + r, c * s)
     return LElement(pair, acc)
 
 
@@ -332,34 +337,16 @@ def binomial_basis(pair: ExtensionPair) -> tuple[list[LElement], list[LElement]]
 
     These satisfy the chain identities A_i (tau - 1) = A_(i-1) and
     B_j (sigma - 1) = B_(j-1), with A_0 = B_0 = 1; the products A_i B_j form
-    a K-basis of L.  Division by i! happens in F_p, which is fine for i < p.
+    a K-basis of L.  A_i = A_(i-1) * (alpha - (i-1)) / i, with the division
+    in F_p, which is fine for i < p; no exponent reaches p, so nothing folds.
     """
     p = pair.p
-    field = pair.field
+    one = LElement.one(pair)
 
-    def chain(gen_index: int) -> list[LElement]:
-        out = [LElement.one(pair)]
-        # poly coefficients of falling factorial x(x-1)...(x-i+1) over F_p
-        coeffs = [1]
-        fact = 1
+    def chain(gen: LElement) -> list[LElement]:
+        out = [one]
         for i in range(1, p):
-            # multiply by (x - (i-1))
-            neg = (-(i - 1)) % p
-            new = [0] * (len(coeffs) + 1)
-            for d, cv in enumerate(coeffs):
-                new[d + 1] = (new[d + 1] + cv) % p
-                new[d] = (new[d] + cv * neg) % p
-            coeffs = new
-            fact = fact * i % p
-            inv_fact = pow(fact, p - 2, p)
-            z = LaurentPoly.zero(field)
-            coords = [z] * p ** 2
-            for d, cv in enumerate(coeffs):
-                val = cv * inv_fact % p
-                if val:
-                    idx = d * p if gen_index == 0 else d
-                    coords[idx] = LaurentPoly.t_pow(field, 0, val)
-            out.append(LElement(pair, coords))
+            out.append(out[-1] * (gen - one * (i - 1)) * pow(i, p - 2, p))
         return out
 
-    return chain(0), chain(1)
+    return chain(LElement.alpha(pair)), chain(LElement.beta(pair))

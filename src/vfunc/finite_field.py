@@ -62,20 +62,6 @@ def _monic_polys(deg: int, p: int) -> Iterator[list[int]]:
         yield list(tail) + [1]
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 class FieldParams:
     """Immutable description of F_{p^n}: the prime, the degree, the modulus.
 
@@ -142,32 +128,26 @@ class FieldParams:
                 out = [(out[i] + c * row[i]) % p for i in range(n)]
         return tuple(out)
 
-    def _vec_pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        res = (1,) + (0,) * (self.n - 1)
-        while e:
-            if e & 1:
-                res = self._vec_mul(res, a)
-            a = self._vec_mul(a, a)
-            e >>= 1
-        return res
-
     def _build_tables(self) -> None:
         """Log, antilog and Zech tables from the first primitive element.
 
-        Candidates run in lexicographic order of coordinate vectors; g is
-        primitive when g^((q-1)/r) != 1 for every prime r dividing q - 1.
+        Candidates run in lexicographic order of coordinate vectors.  Each
+        one's powers are walked until they return to 1, which takes at most
+        q - 1 steps; g is primitive when they reach all q - 1 units first,
+        and its walk is then the antilog table.
         """
         p, n = self.p, self.n
         units = p ** n - 1
         one = (1,) + (0,) * (n - 1)
         vectors = list(itertools.product(range(p), repeat=n))
-        factors = _prime_factors(units)
         for g in vectors[1:]:
-            if all(self._vec_pow(g, units // r) != one for r in factors):
+            vecs = [one]
+            cur = g
+            while cur != one:
+                vecs.append(cur)
+                cur = self._vec_mul(cur, g)
+            if len(vecs) == units:
                 break
-        vecs = [one]
-        for _ in range(units - 1):
-            vecs.append(self._vec_mul(vecs[-1], g))
         vecs.append((0,) * n)
         log = {v: k for k, v in enumerate(vecs)}
         zech = tuple(log[((v[0] + 1) % p,) + v[1:]] for v in vecs[:units])

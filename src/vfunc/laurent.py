@@ -128,18 +128,12 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         acc = dict(self.terms)
         for e, c in other.terms:
             _accumulate(acc, e, c)
         return LaurentPoly(self.field, acc)
 
     def __neg__(self) -> LaurentPoly:
-        if not self.terms:
-            return self
         return LaurentPoly(self.field, [(e, -c) for e, c in self.terms])
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
@@ -150,18 +144,12 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             self._check(other)
-            if not self.terms:
-                return self
-            if not other.terms:
-                return other
             return LaurentPoly(self.field,
                                self.field.convolve(self.terms, other.terms))
         if isinstance(other, (FqElem, int)):
             c = self.field.elem(other) if isinstance(other, int) else other
             if c.field != self.field:
                 raise InputError("scalar from a different field")
-            if not self.terms:
-                return self
             return LaurentPoly(self.field, [(e, a * c) for e, a in self.terms])
         return NotImplemented
 

@@ -122,7 +122,7 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     m2 = LElement(pair, basis[1])
     if m1 != LElement.one(pair):
         raise InternalCheckFailed("first echelon vector is not the constant 1")
-    if not m2.coeffs[0].is_zero():
+    if not m2.coeff(0, 0).is_zero():
         raise InternalCheckFailed("second echelon vector has a constant part")
     val = m2.valuation()
     if val == INFINITY:

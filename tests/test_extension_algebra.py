@@ -7,6 +7,7 @@ from vfunc import (
     FieldParams,
     G1Zero,
     G2DependentOnG1,
+    InputError,
     InternalCheckFailed,
     LaurentPoly,
     MixedExtensions,
@@ -156,6 +157,31 @@ def random_element(pair, rng, lo=-4, hi=3, density=0.4):
     coords = [random_laurent(pair.field, rng, lo, hi, density=density)
               for _ in range(pair.p ** 2)]
     return LElement(pair, coords)
+
+
+def test_only_nonzero_coordinates_are_stored(f9):
+    rng = make_rng("sparse-terms")
+    pair = random_pair(f9, rng)
+    zero = LaurentPoly.zero(f9)
+    for _ in range(4):
+        x = random_element(pair, rng, density=0.2)
+        y = random_element(pair, rng, density=0.2)
+        dense = x.coeffs
+        assert len(dense) == 9 and LElement(pair, dense) == x
+        by_index = {i: c for i, c in enumerate(dense) if rng.random() < 0.7}
+        from_dict = LElement(pair, by_index)
+        from_list = LElement(pair, [by_index.get(i, zero) for i in range(9)])
+        assert from_dict == from_list and hash(from_dict) == hash(from_list)
+        for el in (x + y, x - y, x - x, -x, x * y, x * f9.gen(), x * 3,
+                   x * zero, act(GroupElement(3, 1, 2), x)):
+            assert all(not c.is_zero() for _, c in el.terms)
+            assert [i for i, _ in el.terms] == sorted({i for i, _ in el.terms})
+    assert LElement(pair, {}) == LElement.zero(pair)
+    for idx in (-1, 9):
+        with pytest.raises(InputError):
+            LElement(pair, {idx: LaurentPoly.one(f9)})
+    with pytest.raises(InputError):
+        LElement(pair, [zero] * 8)
 
 
 # -- ring structure ----------------------------------------------------------

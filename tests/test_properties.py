@@ -17,8 +17,13 @@ from vfunc.vfunction import v_formula, v_oracle
 
 from conftest import capped_draw
 
-each_field = pytest.mark.parametrize(
-    "field", [FieldParams(p, 2) for p in (2, 3, 5)], ids=lambda f: f"F{f.q}")
+F8 = FieldParams(2, 3, (1, 1, 0, 1))
+F27 = FieldParams(3, 3, (1, 2, 0, 1))
+SMALL_FIELDS = [FieldParams(p, 2) for p in (2, 3, 5)] + [F8, F27]
+
+
+def over(fields):
+    return pytest.mark.parametrize("field", fields, ids=lambda f: f"F{f.q}")
 
 
 def laurent(field: FieldParams, exponents: list[int], coefficients: list,
@@ -64,13 +69,7 @@ def element_pairs(draw, field: FieldParams):
                                      list(field.elements())[1:], 2),
                              max_size=2)
 
-    def element():
-        chosen = draw(coords)
-        zero = LaurentPoly.zero(field)
-        return LElement(pair, [chosen.get(i, zero)
-                               for i in range(field.p ** 2)])
-
-    return element(), element()
+    return LElement(pair, draw(coords)), LElement(pair, draw(coords))
 
 
 def derandomized(max_examples: int):
@@ -79,7 +78,7 @@ def derandomized(max_examples: int):
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-@each_field
+@over(SMALL_FIELDS + [FieldParams(7, 2)])
 @derandomized(max_examples=25)
 @given(data=st.data())
 def test_formula_equals_oracle(field, data):
@@ -89,7 +88,7 @@ def test_formula_equals_oracle(field, data):
     assert (rf.value, rf.s) == (ro.value, ro.s)
 
 
-@each_field
+@over(SMALL_FIELDS + [FieldParams(7, 2)])
 @derandomized(max_examples=25)
 @given(data=st.data())
 def test_quotient_compatibility_holds(field, data):
@@ -98,9 +97,18 @@ def test_quotient_compatibility_holds(field, data):
     assert quotient_compat_check(pair)
 
 
-@each_field
+@over(SMALL_FIELDS)
 @derandomized(max_examples=15)
 @given(data=st.data())
 def test_norm_is_multiplicative(field, data):
     x, y = data.draw(element_pairs(field))
     assert (x * y).norm() == x.norm() * y.norm()
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=15)
+@given(data=st.data())
+def test_sums_cancel(field, data):
+    x, y = data.draw(element_pairs(field))
+    assert (x + y) - y == x
+    assert (x - x).is_zero()
