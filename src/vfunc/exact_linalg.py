@@ -1,24 +1,15 @@
-"""Exact linear algebra on matrices of Laurent polynomials over F_q.
+"""Exact linear algebra: det over F_q[t, t^-1] and kernel over F_q.
 
-A matrix is a list of rows, each a list of LaurentPoly entries over one
-field, and both functions take the field first: det(field, rows) and
-kernel(field, rows).
+det(field, rows) is Berkowitz's division-free determinant (Berkowitz 1984)
+of a square matrix of LaurentPolys.  The value routes do not call it:
+norms in L are products of Galois conjugates, and det is the tests'
+reference for them.
 
-det is Berkowitz's division-free algorithm (Berkowitz 1984).  It builds
-the characteristic polynomial of each leading principal block from the one
-before, by a lower-triangular Toeplitz matrix made of the new row, column
-and diagonal entry, so it needs only ring operations: O(n^4) products in
-F_q[t, t^-1] and no exact division to verify.  The value routes do not
-call det: norms in L are products of Galois conjugates, and det is the
-tests' reference for them.
-
-Kernels are only needed for matrices of constants, so they are solved by
-reduced row echelon form over F_q itself.  The θ conditions matrix is
-2p^2 x p^2 and only a few percent nonzero, so the elimination keeps each
-row sparse, as a dict from column to the F_q code of a nonzero entry
-(FqElem.code), and does its row operations on codes through
-FieldParams.normalized_row and FieldParams.sub_scaled_row.  Work and
-memory then follow the nonzeros, with little fill-in on that matrix.
+kernel(field, rows, ncols) solves a matrix over F_q given as sparse
+{column: FqElem} rows, the form of the θ conditions matrix (2p^2 x p^2, a
+few percent nonzero).  Its elimination runs on the codes of the entries
+(FqElem.code) through FieldParams.normalized_row and
+FieldParams.sub_scaled_row, so work and memory follow the nonzeros.
 """
 
 from __future__ import annotations
@@ -26,26 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError, NonSquare
-from .finite_field import FieldParams
+from .finite_field import FieldParams, FqElem
 from .laurent import LaurentPoly
-
-Rows = Sequence[Sequence[LaurentPoly]]
-
-
-def _check(field: FieldParams, rows: Rows, square: bool = False) -> int:
-    """Column count of rows, after rejecting ragged rows, entries that are
-    not LaurentPolys over field and, when square is set, a non-square
-    shape."""
-    ncols = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != ncols:
-            raise InputError("ragged matrix")
-        for entry in row:
-            if not isinstance(entry, LaurentPoly) or entry.field != field:
-                raise InputError("matrix entry over the wrong field")
-    if square and len(rows) != ncols:
-        raise NonSquare(f"determinant of a {len(rows)}x{ncols} matrix")
-    return ncols
 
 
 def _dot(xs: Sequence[LaurentPoly], ys: Sequence[LaurentPoly],
@@ -57,7 +30,8 @@ def _dot(xs: Sequence[LaurentPoly], ys: Sequence[LaurentPoly],
     return acc
 
 
-def det(field: FieldParams, rows: Rows) -> LaurentPoly:
+def det(field: FieldParams,
+        rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Determinant by Berkowitz's algorithm, exact over F_q[t, t^-1].
 
     With A_(k+1) = [[A_k, C], [R, a]] split off the leading k x k block,
@@ -66,8 +40,17 @@ def det(field: FieldParams, rows: Rows) -> LaurentPoly:
     lower-triangular Toeplitz with first column
     1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C.  The determinant is the
     constant coefficient of the full matrix's polynomial times (-1)^n.
+    A row of the wrong length raises NonSquare, and an entry that is not
+    a LaurentPoly over field raises InputError.
     """
-    n = _check(field, rows, square=True)
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise NonSquare(f"determinant of a matrix with {n} rows and a "
+                            f"row of length {len(row)}")
+        for entry in row:
+            if not isinstance(entry, LaurentPoly) or entry.field != field:
+                raise InputError("matrix entry over the wrong field")
     zero, one = LaurentPoly.zero(field), LaurentPoly.one(field)
     charpoly = [one]
     for k in range(n):
@@ -82,30 +65,34 @@ def det(field: FieldParams, rows: Rows) -> LaurentPoly:
     return -charpoly[n] if n % 2 else charpoly[n]
 
 
-def kernel(field: FieldParams, rows: Rows) -> list[list[LaurentPoly]]:
-    """Basis of the right kernel of a constant matrix, solved over F_q.
+def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
+           ncols: int) -> list[dict[int, FqElem]]:
+    """Basis of the right kernel of a matrix over F_q with ncols columns.
+
+    rows are {column: entry} dicts of the nonzero entries, and each basis
+    vector comes back in the same form.  A row that is not a dict, an entry
+    that is not a nonzero FqElem over field, or a column outside
+    0..ncols-1 raises InputError.
 
     The matrix is brought to reduced row echelon form with columns in
     natural order.  Each free column f gives one basis vector: coordinate f
     is 1, the other free coordinates are 0, and each pivot coordinate holds
-    the negated echelon entry in column f.  Entries come back as constant
-    LaurentPolys; a non-constant entry raises InputError.
-
-    Rows are {column: code} dicts of their nonzero entries.  The pivot for
-    column c is the first row at or below the echelon position with a
-    nonzero entry there; reduced echelon form is unique, so the basis does
-    not depend on that choice.
+    the negated echelon entry in column f.  The pivot for column c is the
+    first row at or below the echelon position with a nonzero entry there;
+    reduced echelon form is unique, so the basis does not depend on that
+    choice.
     """
-    ncols = _check(field, rows)
     R = []
     for row in rows:
-        codes = {}
-        for j, x in enumerate(row):
-            if x.terms:
-                if not x.is_constant():
-                    raise InputError("kernel needs a matrix of constants")
-                codes[j] = x.terms[0][1].code
-        R.append(codes)
+        if not isinstance(row, dict):
+            raise InputError("matrix row is not a {column: entry} dict")
+        for j, x in row.items():
+            if not (isinstance(x, FqElem) and x.field == field
+                    and not x.is_zero() and isinstance(j, int)
+                    and 0 <= j < ncols):
+                raise InputError(f"column {j!r}: {x!r} is not a nonzero "
+                                 f"field element in 0..{ncols - 1}")
+        R.append({j: x.code for j, x in row.items()})
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -118,15 +105,13 @@ def kernel(field: FieldParams, rows: Rows) -> list[list[LaurentPoly]]:
             if i != r and c in row:
                 field.sub_scaled_row(row, row[c], pivot)
         pivots.append(c)
-    zero = LaurentPoly.zero(field)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = [zero] * ncols
-        vec[f] = LaurentPoly.one(field)
+        vec = {f: field.one()}
         for row, c in zip(R, pivots):
             if f in row:
-                vec[c] = LaurentPoly(field, [(0, -field.from_code(row[f]))])
+                vec[c] = -field.from_code(row[f])
         basis.append(vec)
     return basis

@@ -140,31 +140,16 @@ class LElement:
 
     __slots__ = ("pair", "terms")
 
-    def __init__(self, pair: ExtensionPair, coeffs):
-        """coeffs: the p^2 coordinates in index order, or a dict
-        {index: coefficient}; zero coordinates are dropped here."""
-        size = pair.p ** 2
-        if isinstance(coeffs, dict):
-            items = sorted(coeffs.items())
-            if items and not (0 <= items[0][0] and items[-1][0] < size):
-                raise InputError(f"coordinate index outside 0..{size - 1}")
-        else:
-            items = tuple(coeffs)
-            if len(items) != size:
-                raise InputError(f"expected {size} coordinates")
-            items = enumerate(items)
+    def __init__(self, pair: ExtensionPair, coeffs: dict):
+        """coeffs: {index: coefficient}; zero coordinates are dropped here."""
+        items = sorted(coeffs.items())
+        if items and not (0 <= items[0][0] and items[-1][0] < pair.p ** 2):
+            raise InputError(f"coordinate index outside 0..{pair.p ** 2 - 1}")
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "terms", tuple((i, c) for i, c in items if c))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[LaurentPoly, ...]:
-        """All p^2 coordinates in index order, zeros included."""
-        zero = LaurentPoly.zero(self.pair.field)
-        nonzero = dict(self.terms)
-        return tuple(nonzero.get(idx, zero) for idx in range(self.pair.p ** 2))
 
     # -- constructors --------------------------------------------------------
 
@@ -309,27 +294,33 @@ class LElement:
         return "LElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def act(g: GroupElement, x: LElement) -> LElement:
-    """Apply sigma^i tau^j: alpha -> alpha + j, beta -> beta + i."""
-    pair = x.pair
-    p = pair.p
-    if g.p != p:
-        raise MixedExtensions("group element for a different p")
-    ish, jsh = g.i % p, g.j % p
-    if ish == 0 and jsh == 0:
-        return x
-    acc: dict[int, LaurentPoly] = {}
-    for idx, c in x.terms:
+def act_on_terms(g: GroupElement, terms) -> dict:
+    """Apply sigma^i tau^j to an element given by (i*p + j, coefficient)
+    pairs, over any coefficient ring over F_p (LaurentPoly or FqElem).
+
+    alpha -> alpha + j and beta -> beta + i, so alpha^k beta^l goes to
+    sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.  Returns
+    {index: coefficient}, where terms that cancel leave zeros behind.
+    """
+    p = g.p
+    acc: dict = {}
+    for idx, c in terms:
         k, l = divmod(idx, p)
+        row = [comb(l, r) * pow(g.i, l - r, p) % p for r in range(l + 1)]
         for m in range(k + 1):
-            am = comb(k, m) * pow(jsh, k - m, p) % p
-            if am == 0:
-                continue
-            for r in range(l + 1):
-                s = am * comb(l, r) * pow(ish, l - r, p) % p
+            am = comb(k, m) * pow(g.j, k - m, p) % p
+            for r, b in enumerate(row):
+                s = am * b % p
                 if s:
                     _add_into(acc, m * p + r, c * s)
-    return LElement(pair, acc)
+    return acc
+
+
+def act(g: GroupElement, x: LElement) -> LElement:
+    """Apply sigma^i tau^j: alpha -> alpha + j, beta -> beta + i."""
+    if g.p != x.pair.p:
+        raise MixedExtensions("group element for a different p")
+    return LElement(x.pair, act_on_terms(g, x.terms))
 
 
 def binomial_basis(pair: ExtensionPair) -> tuple[list[LElement], list[LElement]]:

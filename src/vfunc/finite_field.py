@@ -72,15 +72,17 @@ class FieldParams:
     """
 
     __slots__ = ("p", "n", "modulus", "_red", "_hash", "_units", "_vecs",
-                 "_log", "_zech", "_neg_one", "_elems")
+                 "_log", "_zech", "_neg_one", "_elems", "_prime")
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise InputError(f"p = {p} is not prime")
         if n < 1:
             raise InputError(f"extension degree n = {n} must be >= 1")
-        if p ** n > MAX_Q:
+        # Checked before the sqrt(p) trial division, with n bounded before
+        # p ** n is formed: any p >= 2 exceeds MAX_Q beyond its bit length.
+        if p >= 2 and (n > MAX_Q.bit_length() or p ** n > MAX_Q):
             raise FieldTooLarge(f"q = {p}^{n} exceeds MAX_Q = {MAX_Q}")
+        if not _is_prime(p):
+            raise InputError(f"p = {p} is not prime")
         if modulus is None:
             if n == 1:
                 modulus = (0, 1)
@@ -157,6 +159,9 @@ class FieldParams:
         object.__setattr__(self, "_zech", zech)
         object.__setattr__(self, "_neg_one", log[(p - 1,) + (0,) * (n - 1)])
         object.__setattr__(self, "_elems", tuple(FqElem(self, v) for v in vecs))
+        # The prime field by residue, so an integer coerces by one lookup.
+        object.__setattr__(self, "_prime", tuple(
+            self._elems[log[(c,) + (0,) * (n - 1)]] for c in range(p)))
 
     # -- arithmetic on codes -------------------------------------------------
 
@@ -275,12 +280,11 @@ class FieldParams:
 
     def elem(self, coeffs: Sequence[int] | int) -> FqElem:
         if isinstance(coeffs, int):
-            vec = [coeffs] + [0] * (self.n - 1)
-        else:
-            vec = list(coeffs)
-            if len(vec) > self.n:
-                raise InputError(f"too many coordinates for degree {self.n}")
-            vec += [0] * (self.n - len(vec))
+            return self._prime[coeffs % self.p]
+        vec = list(coeffs)
+        if len(vec) > self.n:
+            raise InputError(f"too many coordinates for degree {self.n}")
+        vec += [0] * (self.n - len(vec))
         return self._elems[self._log[tuple(c % self.p for c in vec)]]
 
     def from_code(self, code: int) -> FqElem:

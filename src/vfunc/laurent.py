@@ -102,9 +102,6 @@ class LaurentPoly:
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.terms)
 
-    def is_constant(self) -> bool:
-        return all(e == 0 for e, _ in self.terms)
-
     def is_in_J(self) -> bool:
         """Membership in J: all exponents negative and prime to p."""
         p = self.field.p

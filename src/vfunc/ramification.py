@@ -23,6 +23,16 @@ from .laurent import INFINITY, LaurentPoly, reduce_to_J
 Rational = int | Fraction
 
 
+def _span(p: int, gens) -> set[tuple[int, int]]:
+    """The F_p-span of exponent pairs (i, j) in (Z/p)^2."""
+    span = {(0, 0)}
+    for gi, gj in gens:
+        addition = [(c * gi % p, c * gj % p) for c in range(p)]
+        span = {((i + di) % p, (j + dj) % p)
+                for i, j in span for di, dj in addition}
+    return span
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of (Z/p)^2, stored by a canonical echelon basis.
@@ -37,11 +47,7 @@ class Subgroup:
 
     @classmethod
     def from_gens(cls, p: int, gens) -> Subgroup:
-        span = {(0, 0)}
-        for gi, gj in gens:
-            addition = [(c * gi % p, c * gj % p) for c in range(p)]
-            span = {((i + di) % p, (j + dj) % p)
-                    for i, j in span for di, dj in addition}
+        span = _span(p, gens)
         if len(span) == 1:
             basis = ()
         elif len(span) == p * p:
@@ -68,12 +74,7 @@ class Subgroup:
         return self.p ** len(self.gens)
 
     def elements(self) -> frozenset[tuple[int, int]]:
-        span = {(0, 0)}
-        for gi, gj in self.gens:
-            addition = [(c * gi % self.p, c * gj % self.p) for c in range(self.p)]
-            span = {((i + di) % self.p, (j + dj) % self.p)
-                    for i, j in span for di, dj in addition}
-        return frozenset(span)
+        return frozenset(_span(self.p, self.gens))
 
     def contains(self, el: tuple[int, int]) -> bool:
         return (el[0] % self.p, el[1] % self.p) in self.elements()

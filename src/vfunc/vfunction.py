@@ -12,11 +12,16 @@ linear conditions
 
     m (sigma - 1)^2 = 0,        m (tau - 1) = a * m (sigma - 1)
 
-inside L (writing m (g - 1) for act(g, m) - m), scales an echelon basis of
-the solution space into the integral lattice, and reads v off the extension
-valuation of a 2x2 determinant of images.  The two routes share no code
-beyond the base arithmetic, so their agreement on random pairs is a strong
-correctness signal for both.
+for m in L (writing m (g - 1) for act(g, m) - m), scales an echelon basis
+of the solution space into the integral lattice, and reads v off the
+extension valuation of a 2x2 determinant of images.  The group sends a
+monomial to an F_p-combination of monomials and a is a constant, so the
+conditions are written once, on (index, coefficient) pairs: over F_q on
+the basis monomials they give the 2p^2 x p^2 matrix that
+exact_linalg.kernel solves, and on elements of L they check the images.
+
+The two routes share no code beyond the base arithmetic, so their
+agreement on random pairs is a strong correctness signal for both.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
-from .extension_algebra import ExtensionPair, GroupElement, LElement, act
+from .extension_algebra import (ExtensionPair, LElement, act, act_on_terms,
+                                sigma, tau)
+from .finite_field import FqElem
 from .laurent import INFINITY, LaurentPoly
 
 
@@ -76,32 +83,36 @@ def v_formula(pair: ExtensionPair) -> VResult:
     return VResult(value=_ceil_div(s, p * p), s=s, route="formula")
 
 
-def _delta(g: GroupElement, m: LElement) -> LElement:
-    return act(g, m) - m
+def _minus(acc: dict, terms) -> dict:
+    """acc - terms on (index, coefficient) pairs, as {index: nonzero
+    coefficient}; acc is consumed."""
+    for idx, c in terms:
+        acc[idx] = acc[idx] - c if idx in acc else -c
+    return {idx: c for idx, c in acc.items() if c}
 
 
-def _condition_images(pair: ExtensionPair, m: LElement) -> tuple[LElement, LElement]:
-    """The two defining conditions evaluated at m; both vanish on solutions."""
-    p = pair.p
-    s_gen = GroupElement(p, 1, 0)
-    t_gen = GroupElement(p, 0, 1)
-    ds = _delta(s_gen, m)
-    first = _delta(s_gen, ds)
-    second = _delta(t_gen, m) - pair.a * ds
-    return first, second
+def _condition_images(p: int, a: FqElem, terms) -> tuple[dict, dict]:
+    """m (sigma - 1)^2 and m (tau - 1) - a * m (sigma - 1) for m given by
+    (index, coefficient) pairs over any coefficient ring over F_q, as
+    {index: nonzero coefficient}; both are empty exactly on solutions."""
+    ds = _minus(act_on_terms(sigma(p), terms), terms).items()
+    first = _minus(act_on_terms(sigma(p), ds), ds)
+    second = _minus(act_on_terms(tau(p), terms), terms)
+    return first, _minus(second, [(idx, c * a) for idx, c in ds])
 
 
-def theta_conditions_matrix(pair: ExtensionPair) -> list[list[LaurentPoly]]:
-    """Rows of the stacked matrix of both conditions on the monomial basis,
-    2p^2 x p^2."""
-    p = pair.p
-    n = p * p
-    cols = []
-    for idx in range(n):
-        i, j = divmod(idx, p)
-        first, second = _condition_images(pair, LElement.monomial(pair, i, j))
-        cols.append(first.coeffs + second.coeffs)
-    return [list(row) for row in zip(*cols)]
+def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
+    """The 2p^2 x p^2 matrix of both conditions on the monomial basis over
+    F_q, as {column: nonzero entry} rows: column idx holds the images of
+    the monomial with index idx, the first condition above the second."""
+    n = pair.p ** 2
+    rows: list[dict[int, FqElem]] = [{} for _ in range(2 * n)]
+    for col in range(n):
+        images = _condition_images(pair.p, pair.a, [(col, pair.field.one())])
+        for offset, image in zip((0, n), images):
+            for idx, c in image.items():
+                rows[offset + idx][col] = c
+    return rows
 
 
 def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
@@ -114,12 +125,13 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     divisible by p^2) would break the lattice splitting and raises.
     """
     p = pair.p
-    basis = kernel(pair.field, theta_conditions_matrix(pair))
+    field = pair.field
+    basis = kernel(field, theta_conditions_matrix(pair), p * p)
     if len(basis) != 2:
         raise InternalCheckFailed(
             f"solution space has dimension {len(basis)}, expected 2")
-    m1 = LElement(pair, basis[0])
-    m2 = LElement(pair, basis[1])
+    m1, m2 = (LElement(pair, {idx: LaurentPoly.t_pow(field, 0, c)
+                              for idx, c in vec.items()}) for vec in basis)
     if m1 != LElement.one(pair):
         raise InternalCheckFailed("first echelon vector is not the constant 1")
     if not m2.coeff(0, 0).is_zero():
@@ -142,11 +154,10 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
     fails either defining condition, since only then is phi equivariant.
     """
     pair = m.pair
-    first, second = _condition_images(pair, m)
-    if not first.is_zero() or not second.is_zero():
+    first, second = _condition_images(pair.p, pair.a, m.terms)
+    if first or second:
         raise NotInTheta("element does not satisfy the defining conditions")
-    s_gen = GroupElement(pair.p, 1, 0)
-    return _delta(s_gen, m), m
+    return act(sigma(pair.p), m) - m, m
 
 
 def v_oracle(pair: ExtensionPair) -> VResult:

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from vfunc.errors import InputError, SamplingExhausted
-from vfunc.extension_algebra import ExtensionPair, LElement, validate_pair
+from vfunc.extension_algebra import (
+    ExtensionPair,
+    LElement,
+    act,
+    sigma,
+    tau,
+    validate_pair,
+)
 from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import LaurentPoly
 
@@ -160,10 +167,47 @@ def matmul(field: FieldParams, left, right) -> list[list[LaurentPoly]]:
     return [matvec(field, cols, row) for row in left]
 
 
+def fq_matvec(field: FieldParams, rows, vec) -> list[FqElem]:
+    """Product of a matrix over F_q, as {column: entry} rows, with a
+    {column: entry} vector."""
+    out = []
+    for row in rows:
+        acc = field.zero()
+        for j, x in row.items():
+            if j in vec:
+                acc = acc + x * vec[j]
+        out.append(acc)
+    return out
+
+
+def coeffs(x: LElement) -> tuple[LaurentPoly, ...]:
+    """All p^2 coordinates of x in index order, zeros included."""
+    zero = LaurentPoly.zero(x.pair.field)
+    nonzero = dict(x.terms)
+    return tuple(nonzero.get(idx, zero) for idx in range(x.pair.p ** 2))
+
+
 def mult_matrix(x: LElement):
     """Rows of the matrix of y -> x * y on the monomial basis, whose
     columns are the images of the basis monomials."""
     p = x.pair.p
-    cols = [(x * LElement.monomial(x.pair, i, j)).coeffs
+    cols = [coeffs(x * LElement.monomial(x.pair, i, j))
             for i in range(p) for j in range(p)]
+    return [list(row) for row in zip(*cols)]
+
+
+def conditions_matrix_in_L(pair: ExtensionPair) -> list[list[LaurentPoly]]:
+    """The θ conditions matrix built inside L: each basis monomial is an
+    LElement, both conditions are evaluated on it by act and LElement
+    arithmetic, and the images are densified into columns, so entries are
+    (constant) LaurentPolys, zeros included."""
+    p = pair.p
+    cols = []
+    for i in range(p):
+        for j in range(p):
+            m = LElement.monomial(pair, i, j)
+            ds = act(sigma(p), m) - m
+            first = act(sigma(p), ds) - ds
+            second = act(tau(p), m) - m - pair.a * ds
+            cols.append(coeffs(first) + coeffs(second))
     return [list(row) for row in zip(*cols)]

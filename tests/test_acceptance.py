@@ -212,7 +212,7 @@ def test_criterion_5_algebra_suite():
                          for e in range(-2, 2) if rng.random() < 0.5]
                 coords.append(LaurentPoly(
                     field, [(e, c) for e, c in terms if not c.is_zero()]))
-            return LElement(pair, coords)
+            return LElement(pair, dict(enumerate(coords)))
         for _ in range(reps):
             x, y = rand_el(), rand_el()
             ok = ok and (x * y).norm() == x.norm() * y.norm()

@@ -131,6 +131,16 @@ def test_counterexample_rejects_prime_field(capsys):
     assert out == ""
 
 
+def test_huge_p_exits_invalid_without_testing_primality(tmp_path, capsys):
+    huge = 10 ** 18 + 3
+    code, out, err = run_cli(["counterexample", "--p", str(huge), "--n", "2"],
+                             capsys)
+    assert code == EXIT_INVALID and "FieldTooLarge" in err and out == ""
+    path = write_job(tmp_path, "huge.json", dict(COUNTEREXAMPLE_JOB, p=huge))
+    code, out, err = run_cli(["v", "--input", path], capsys)
+    assert code == EXIT_INVALID and "FieldTooLarge" in err and out == ""
+
+
 def test_field_above_the_table_cap_exits_invalid(capsys):
     code, out, err = run_cli(["sweep", "--p", "2", "--n", "13", "--modulus",
                               "1,1,0,1,1" + ",0" * 8 + ",1", "--max-degree", "3",

@@ -6,10 +6,10 @@ import pytest
 
 from vfunc.errors import InputError, NonSquare
 from vfunc.exact_linalg import det, kernel
-from vfunc.finite_field import FieldParams
+from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import LaurentPoly
 
-from conftest import make_rng, matmul, matvec, random_laurent
+from conftest import fq_matvec, make_rng, matmul, random_laurent
 
 
 def det_by_permutations(field: FieldParams, rows) -> LaurentPoly:
@@ -122,27 +122,37 @@ def test_det_singular_and_zero(f4):
         assert det(f4, M).is_zero()
 
 
-def rand_constant_matrix(field, rng, nr, nc, density=0.5):
-    return [
-        [LaurentPoly.t_pow(field, 0, field.random_element(rng))
-         if rng.random() < density else LaurentPoly.zero(field)
-         for _ in range(nc)]
-        for _ in range(nr)]
+def rand_fq_rows(field, rng, nr, nc, density=0.5):
+    """nr random {column: entry} rows over F_q with nc columns."""
+    rows = []
+    for _ in range(nr):
+        row = {}
+        for j in range(nc):
+            if rng.random() < density:
+                c = field.random_element(rng)
+                if not c.is_zero():
+                    row[j] = c
+        rows.append(row)
+    return rows
+
+
+def lift(field, rows, ncols) -> list[list[LaurentPoly]]:
+    """The F_q rows as a dense matrix of constant LaurentPolys."""
+    return [[LaurentPoly.t_pow(field, 0, row.get(j, field.zero()))
+             for j in range(ncols)] for row in rows]
 
 
 def test_kernel_examples(f4):
-    one = LaurentPoly.one(f4)
-    w = LaurentPoly.t_pow(f4, 0, f4.gen())
-    zero = LaurentPoly.zero(f4)
-    ker = kernel(f4, [[zero, zero]])
-    assert ker == [[one, zero], [zero, one]]
-    ker = kernel(f4, [[one, w]])
-    assert ker == [[w, one]]  # char 2: -w == w
+    one, w = f4.one(), f4.gen()
+    ker = kernel(f4, [{}], 2)
+    assert ker == [{0: one}, {1: one}]
+    ker = kernel(f4, [{0: one, 1: w}], 2)
+    assert ker == [{0: w, 1: one}]  # char 2: -w == w
     # a zero column before the pivot stays free
-    M = [[zero, one, w], [zero, one, w]]
-    assert kernel(f4, M) == [[one, zero, zero], [zero, w, one]]
-    for vec in kernel(f4, M):
-        assert all(x.is_zero() for x in matvec(f4, M, vec))
+    M = [{1: one, 2: w}, {1: one, 2: w}]
+    assert kernel(f4, M, 3) == [{0: one}, {1: w, 2: one}]
+    for vec in kernel(f4, M, 3):
+        assert all(x.is_zero() for x in fq_matvec(f4, M, vec))
 
 
 def test_kernel_annihilates_and_counts(f9, f25):
@@ -151,17 +161,19 @@ def test_kernel_annihilates_and_counts(f9, f25):
         for _ in range(15):
             nr = rng.randrange(1, 5)
             nc = rng.randrange(1, 5)
-            M = rand_constant_matrix(fld, rng, nr, nc)
-            ker = kernel(fld, M)
+            M = rand_fq_rows(fld, rng, nr, nc)
+            ker = kernel(fld, M, nc)
             for vec in ker:
-                assert all(x.is_zero() for x in matvec(fld, M, vec))
+                assert all(x.is_zero() for x in fq_matvec(fld, M, vec))
             # rank + nullity = ncols, rank measured independently by minors
+            # of the constant lift
+            dense = lift(fld, M, nc)
             rank = 0
             for size in range(min(nr, nc), 0, -1):
                 found = False
                 for rsel in itertools.combinations(range(nr), size):
                     for csel in itertools.combinations(range(nc), size):
-                        sub = [[M[i][j] for j in csel] for i in rsel]
+                        sub = [[dense[i][j] for j in csel] for i in rsel]
                         if not det(fld, sub).is_zero():
                             found = True
                             break
@@ -175,77 +187,89 @@ def test_kernel_annihilates_and_counts(f9, f25):
 
 def test_kernel_echelon_shape_and_normalization(f9):
     rng = make_rng("kernel-shape")
-    one = LaurentPoly.one(f9)
+    one = f9.one()
     for _ in range(10):
-        M = rand_constant_matrix(f9, rng, 3, 5)
-        ker = kernel(f9, M)
+        M = rand_fq_rows(f9, rng, 3, 5)
+        ker = kernel(f9, M, 5)
         free_cols = []
         for vec in ker:
-            nz = [c for c, x in enumerate(vec) if not x.is_zero()]
-            free = max(nz)
+            free = max(vec)
             free_cols.append(free)
             assert vec[free] == one
-            assert all(x.is_constant() for x in vec)
+            assert all(isinstance(x, FqElem) and x.field == f9
+                       and not x.is_zero() for x in vec.values())
         # one distinct free coordinate per vector, zero at the others
         assert len(set(free_cols)) == len(ker)
         for vec, own in zip(ker, free_cols):
             for other in free_cols:
                 if other != own:
-                    assert vec[other].is_zero()
+                    assert other not in vec
 
 
 def test_kernel_rejects_non_constant_entries(f9):
-    one = LaurentPoly.one(f9)
-    t = LaurentPoly.t_pow(f9, 1)
-    with pytest.raises(InputError):
-        kernel(f9, [[one, t]])
+    """Entries must be nonzero elements of the field, in columns
+    0..ncols-1."""
+    one = f9.one()
+    f25 = FieldParams(5, 2)
+    for bad in ({0: one, 1: LaurentPoly.t_pow(f9, 1)},
+                {0: one, 1: LaurentPoly.one(f9)},
+                {0: one, 1: f25.one()},
+                {0: one, 1: f9.zero()},
+                {0: one, 2: one},
+                {-1: one}):
+        with pytest.raises(InputError):
+            kernel(f9, [bad], 2)
 
 
 def test_kernel_deterministic(f25):
     rng = make_rng("kernel-det")
-    M = rand_constant_matrix(f25, rng, 4, 6)
-    assert kernel(f25, M) == kernel(f25, M)
+    M = rand_fq_rows(f25, rng, 4, 6)
+    assert kernel(f25, M, 6) == kernel(f25, M, 6)
 
 
 def test_constant_matrix_kernel_stays_constant(f9):
-    # constant matrices must produce constant kernel vectors with pivot 1
+    # kernel vectors hold nonzero field elements only, and are solutions
     rng = make_rng("kernel-const")
     for _ in range(10):
-        M = [
-            [LaurentPoly.t_pow(f9, 0, f9.random_element(rng)) for _ in range(4)]
-            for _ in range(2)]
-        for vec in kernel(f9, M):
-            for x in vec:
-                assert x.is_zero() or x.is_constant()
-            assert all(y.is_zero() for y in matvec(f9, M, vec))
+        M = rand_fq_rows(f9, rng, 2, 4, density=1.0)
+        for vec in kernel(f9, M, 4):
+            for j, x in vec.items():
+                assert 0 <= j < 4
+                assert isinstance(x, FqElem) and not x.is_zero()
+            assert all(y.is_zero() for y in fq_matvec(f9, M, vec))
 
 
 def test_ragged_and_foreign_rows_rejected(f4, f9):
     one = LaurentPoly.one(f4)
-    for fn in (det, kernel):
-        with pytest.raises(InputError):
-            fn(f4, [[one], [one, one]])
-        with pytest.raises(InputError):
-            fn(f4, [[LaurentPoly.one(f9)]])
-        with pytest.raises(InputError):
-            fn(f4, [[1]])
+    with pytest.raises(InputError):
+        det(f4, [[one], [one, one]])
+    with pytest.raises(InputError):
+        det(f4, [[LaurentPoly.one(f9)]])
+    with pytest.raises(InputError):
+        det(f4, [[1]])
+    with pytest.raises(InputError):
+        kernel(f4, [[f4.one()]], 1)
+    with pytest.raises(InputError):
+        kernel(f4, [{0: f9.one()}], 1)
+    with pytest.raises(InputError):
+        kernel(f4, [{0: 1}], 1)
 
 
-def dense_kernel_reference(field: FieldParams, M) -> list[list[LaurentPoly]]:
+def dense_kernel_reference(field: FieldParams, rows,
+                           ncols: int) -> list[dict[int, FqElem]]:
     """Reduced row echelon form on dense rows of FqElem, natural column
     order, first nonzero row as pivot: the kernel's specification."""
-    R = [[x.coeff(0) for x in row] for row in M]
-    ncols = len(M[0]) if M else 0
+    R = [[row.get(j, field.zero()) for j in range(ncols)] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, len(M)) if not R[i][c].is_zero()), None)
+        pr = next((i for i in range(r, len(R)) if not R[i][c].is_zero()), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
         inv = R[r][c].inv()
         R[r] = [x * inv for x in R[r]]
-        for i in range(len(M)):
+        for i in range(len(R)):
             factor = R[i][c]
             if i != r and not factor.is_zero():
                 R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
@@ -254,28 +278,29 @@ def dense_kernel_reference(field: FieldParams, M) -> list[list[LaurentPoly]]:
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = [LaurentPoly.zero(field)] * ncols
-        vec[f] = LaurentPoly.one(field)
+        vec = {f: field.one()}
         for row, c in enumerate(pivots):
-            vec[c] = LaurentPoly(field, [(0, -R[row][f])])
+            if not R[row][f].is_zero():
+                vec[c] = -R[row][f]
         basis.append(vec)
     return basis
 
 
 def low_rank_matrix(field, rng, nr, nc, rank, density):
-    """A product of random nr x rank and rank x nc constant matrices, so
+    """A product of random nr x rank and rank x nc matrices over F_q, so
     rows are dependent and elimination has to cancel whole rows."""
     left = [[field.random_element(rng) for _ in range(rank)] for _ in range(nr)]
     right = [[field.random_element(rng) if rng.random() < density
               else field.zero() for _ in range(nc)] for _ in range(rank)]
     rows = []
     for i in range(nr):
-        row = []
+        row = {}
         for j in range(nc):
             acc = field.zero()
             for k in range(rank):
                 acc = acc + left[i][k] * right[k][j]
-            row.append(LaurentPoly.t_pow(field, 0, acc))
+            if not acc.is_zero():
+                row[j] = acc
         rows.append(row)
     return rows
 
@@ -287,34 +312,36 @@ def test_kernel_matches_dense_reference(f4, f8, f25):
         for density in (0.08, 0.2, 0.5, 1.0):
             for _ in range(6):
                 nr, nc = rng.randrange(1, 13), rng.randrange(1, 11)
-                M = rand_constant_matrix(fld, rng, nr, nc, density)
-                assert kernel(fld, M) == dense_kernel_reference(fld, M)
+                M = rand_fq_rows(fld, rng, nr, nc, density)
+                assert kernel(fld, M, nc) == dense_kernel_reference(fld, M, nc)
             for _ in range(4):
                 nr, nc = rng.randrange(2, 13), rng.randrange(2, 11)
                 rank = rng.randrange(1, min(nr, nc))
                 M = low_rank_matrix(fld, rng, nr, nc, rank, density)
-                ker = kernel(fld, M)
+                ker = kernel(fld, M, nc)
                 assert len(ker) >= nc - rank
-                assert ker == dense_kernel_reference(fld, M)
+                assert ker == dense_kernel_reference(fld, M, nc)
 
 
 def test_kernel_cancels_entries_exactly(f25):
     """Rows that are sums and multiples of others reduce to zero rows, and
     an entry that cancels mid-elimination stays absent."""
     rng = make_rng("kernel-cancel")
-    c = [LaurentPoly.t_pow(f25, 0, f25.random_element(rng)) for _ in range(6)]
-    zero = LaurentPoly.zero(f25)
-    one = LaurentPoly.one(f25)
-    two = LaurentPoly.t_pow(f25, 0, 2)
+    c = [f25.random_element(rng) for _ in range(6)]
+    zero, one, two = f25.zero(), f25.one(), f25.elem(2)
+
+    def row(*entries):
+        return {j: x for j, x in enumerate(entries) if not x.is_zero()}
+
     r1 = [one, c[0], zero, c[1], zero]
     r2 = [zero, one, c[2], zero, c[3]]
     r3 = [x + y for x, y in zip(r1, r2)]          # dependent: r1 + r2
     r4 = [two * x for x in r1]                    # dependent: 2 r1
     # r5 - r1 has a zero in column 1, so that entry cancels
     r5 = [one, c[0], c[4], zero, c[5]]
-    M = [r1, r2, r3, r4, r5]
-    ker = kernel(f25, M)
-    assert ker == dense_kernel_reference(f25, M)
+    M = [row(*r) for r in (r1, r2, r3, r4, r5)]
+    ker = kernel(f25, M, 5)
+    assert ker == dense_kernel_reference(f25, M, 5)
     assert len(ker) == 5 - 3
     for vec in ker:
-        assert all(x.is_zero() for x in matvec(f25, M, vec))
+        assert all(x.is_zero() for x in fq_matvec(f25, M, vec))

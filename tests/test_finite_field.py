@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from vfunc import finite_field
 from vfunc.errors import FieldTooLarge, InputError, InternalCheckFailed
 from vfunc.finite_field import DEFAULT_MODULI, MAX_Q, FieldParams, FqElem
 
@@ -208,3 +209,25 @@ def test_field_size_is_capped():
     with pytest.raises(FieldTooLarge):
         FieldParams(3, 8)
     assert issubclass(FieldTooLarge, InputError)
+
+
+def test_oversize_field_is_rejected_before_primality(monkeypatch):
+    """Trial division of p = 10^18 + 3 would take about 10^9 steps, so the
+    size check must come first."""
+    def no_trial_division(m):
+        raise AssertionError(f"primality of {m} tested before the size check")
+
+    monkeypatch.setattr(finite_field, "_is_prime", no_trial_division)
+    with pytest.raises(FieldTooLarge):
+        FieldParams(10 ** 18 + 3, 2)
+    with pytest.raises(FieldTooLarge):
+        FieldParams(10 ** 18 + 3, 1)
+
+
+def test_oversize_composite_is_too_large_not_composite():
+    with pytest.raises(FieldTooLarge):
+        FieldParams(4100, 1)
+    with pytest.raises(FieldTooLarge):
+        FieldParams(2, MAX_Q.bit_length() + 1)
+    with pytest.raises(InputError, match="not prime"):
+        FieldParams(4, 1)

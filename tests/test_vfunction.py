@@ -14,7 +14,7 @@ from vfunc.extension_algebra import (
     act,
     validate_pair,
 )
-from vfunc.finite_field import FieldParams
+from vfunc.finite_field import FieldParams, FqElem
 from vfunc.vfunction import (
     theta_conditions_matrix,
     theta_lattice,
@@ -23,7 +23,13 @@ from vfunc.vfunction import (
     v_oracle,
 )
 
-from conftest import make_rng, matvec, random_laurent, random_pair
+from conftest import (
+    conditions_matrix_in_L,
+    fq_matvec,
+    make_rng,
+    random_laurent,
+    random_pair,
+)
 
 
 def series(field, *pairs):
@@ -86,10 +92,29 @@ def test_conditions_matrix_shape_and_constancy(f4, f9):
         pair = random_pair(field, rng, -(field.p ** 2 + 1))
         m = theta_conditions_matrix(pair)
         n = field.p ** 2
-        assert (len(m), {len(row) for row in m}) == (2 * n, {n})
-        for i in range(2 * n):
-            for j in range(n):
-                assert m[i][j].is_zero() or m[i][j].is_constant()
+        assert len(m) == 2 * n
+        for row in m:
+            for j, x in row.items():
+                assert 0 <= j < n
+                assert isinstance(x, FqElem) and x.field == field
+                assert not x.is_zero()
+
+
+def test_conditions_matrix_matches_the_construction_in_L(f4, f9, f25, f8):
+    """Entry for entry, the F_q rows equal the matrix built by acting on
+    each monomial as an element of L and densifying its images."""
+    f27 = FieldParams(3, 3, (1, 2, 0, 1))
+    for field in (f4, f9, f25, f8, f27):
+        rng = make_rng(f"condmat-in-L-{field.q}")
+        for _ in range(2):
+            pair = random_pair(field, rng, -(field.p ** 2 + 1))
+            rows = theta_conditions_matrix(pair)
+            ref = conditions_matrix_in_L(pair)
+            assert len(rows) == len(ref)
+            for row, ref_row in zip(rows, ref):
+                lifted = [LaurentPoly.t_pow(field, 0, row.get(j, field.zero()))
+                          for j in range(len(ref_row))]
+                assert lifted == ref_row
 
 
 def test_constant_and_pairing_element_solve_conditions(f4, f9):
@@ -98,7 +123,11 @@ def test_constant_and_pairing_element_solve_conditions(f4, f9):
         pair = random_pair(field, rng, -(field.p ** 2 + 1))
         m = theta_conditions_matrix(pair)
         for sol in (LElement.one(pair), LElement.gamma(pair)):
-            image = matvec(field, m, sol.coeffs)
+            # both solutions have constant coordinates
+            assert all(c.support() == (0,) for _, c in sol.terms)
+            vec = {idx: c.coeff(0) for idx, c in sol.terms}
+            image = fq_matvec(field, m, vec)
+            assert len(image) == 2 * field.p ** 2
             assert all(c.is_zero() for c in image)
 
 
@@ -108,7 +137,28 @@ def test_solution_space_has_dimension_two(f4, f9):
         rng = make_rng(f"kerneldim-{field.p}")
         for _ in range(reps):
             pair = random_pair(field, rng, -(field.p ** 2 + 1))
-            assert len(kernel(field, theta_conditions_matrix(pair))) == 2
+            rows = theta_conditions_matrix(pair)
+            assert len(kernel(field, rows, field.p ** 2)) == 2
+
+
+def test_conditions_solve_builds_no_laurent_or_L_elements(f9, monkeypatch):
+    """The conditions matrix and its kernel are pure F_q work."""
+    from vfunc.exact_linalg import kernel
+    pair = random_pair(f9, make_rng("pure-fq"), -10)
+    built = []
+
+    def counting(init):
+        def wrapped(self, *args, **kw):
+            built.append(type(self).__name__)
+            init(self, *args, **kw)
+        return wrapped
+
+    for cls in (LaurentPoly, LElement):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    assert len(kernel(f9, theta_conditions_matrix(pair), 9)) == 2
+    assert built == []
+    LElement.one(pair)
+    assert built == ["LaurentPoly", "LElement"]
 
 
 def test_lattice_structure(f4):
@@ -118,7 +168,7 @@ def test_lattice_structure(f4):
     tb = theta_lattice(pair)
     assert tb.m1 == LElement.one(pair)
     assert tb.e1 == 0
-    assert tb.m2.coeffs[0].is_zero()
+    assert tb.m2.coeff(0, 0).is_zero()
     assert (tb.e2, tb.s_prime) == (2, 6)
     # m2 is a scalar multiple of the pairing element a*alpha + beta
     winv = w ** -1
