@@ -34,8 +34,9 @@ from .errors import (
     InputError,
     InternalCheckFailed,
     SamplingExhausted,
+    TooManyTerms,
 )
-from .extension_algebra import ExtensionPair, validate_pair
+from .extension_algebra import MAX_TERMS, ExtensionPair, validate_pair
 from .finite_field import FieldParams, FqElem
 from .laurent import LaurentPoly
 from .ramification import (
@@ -291,6 +292,11 @@ def cmd_sweep(args) -> int:
     if field.n < 2:
         raise AInPrimeField("sweep needs n >= 2: with n = 1 every a lies "
                             "in the prime field")
+    # Exponents -D..-1 prime to p: the most terms a drawn series can have.
+    terms = args.max_degree - args.max_degree // field.p
+    if terms > MAX_TERMS:
+        raise TooManyTerms(f"--max-degree {args.max_degree} allows {terms} "
+                           f"terms, more than MAX_TERMS = {MAX_TERMS}")
     jobs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:

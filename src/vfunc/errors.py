@@ -40,6 +40,10 @@ class FieldTooLarge(InputError):
     """The field has more elements than its arithmetic tables allow."""
 
 
+class TooManyTerms(InputError):
+    """A defining series has more terms than MAX_TERMS allows."""
+
+
 class MixedExtensions(InputError):
     """Operands belong to different extension pairs or different fields."""
 

@@ -29,12 +29,13 @@ from .errors import (
     InternalCheckFailed,
     MixedExtensions,
     NotInJ,
+    TooManyTerms,
 )
 # det is unused here, but perfbench/tests look it up in this module's
 # namespace; it goes when the benchmark retires its det metrics.
 from .exact_linalg import det  # noqa: F401
 from .finite_field import FieldParams, FqElem
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, add_into
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ def group_elements(p: int) -> list[GroupElement]:
     return [GroupElement(p, i, j) for i in range(p) for j in range(p)]
 
 
+#: Most terms g1 or g2 may have.  The oracle's cost grows with the square
+#: of the term count, so a longer series raises TooManyTerms up front.
+MAX_TERMS = 256
+
+
 @dataclass(frozen=True)
 class ExtensionPair:
     """Validated datum (field, a, g1, g2) defining the extension and action."""
@@ -83,6 +89,10 @@ class ExtensionPair:
         if self.a.field != self.field or self.g1.field != self.field \
                 or self.g2.field != self.field:
             raise InputError("pair components over different fields")
+        for name, g in (("g1", self.g1), ("g2", self.g2)):
+            if len(g.terms) > MAX_TERMS:
+                raise TooManyTerms(f"{name} has {len(g.terms)} terms, more "
+                                   f"than MAX_TERMS = {MAX_TERMS}")
         if self.a.is_in_prime_field():
             raise AInPrimeField(f"a = {self.a} lies in the prime field")
         if not self.g1.is_in_J():
@@ -106,10 +116,6 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
     return ExtensionPair(field, a, g1, g2)
 
 
-def _add_into(acc: dict, key, c: LaurentPoly) -> None:
-    acc[key] = acc[key] + c if key in acc else c
-
-
 def _fold(grid: dict[tuple[int, int], LaurentPoly],
           pair: ExtensionPair) -> dict[int, LaurentPoly]:
     """Reduce a grid {(I, J): coefficient of alpha^I beta^J}, I, J <= 2p-2,
@@ -122,12 +128,12 @@ def _fold(grid: dict[tuple[int, int], LaurentPoly],
     p = pair.p
     for i, j in [key for key in grid if key[0] >= p]:
         c = grid.pop((i, j))
-        _add_into(grid, (i - p + 1, j), c)
-        _add_into(grid, (i - p, j), c * pair.g1)
+        add_into(grid, (i - p + 1, j), c)
+        add_into(grid, (i - p, j), c * pair.g1)
     for i, j in [key for key in grid if key[1] >= p]:
         c = grid.pop((i, j))
-        _add_into(grid, (i, j - p + 1), c)
-        _add_into(grid, (i, j - p), c * pair.g2)
+        add_into(grid, (i, j - p + 1), c)
+        add_into(grid, (i, j - p), c * pair.g2)
     return {i * p + j: c for (i, j), c in grid.items()}
 
 
@@ -218,7 +224,7 @@ class LElement:
         self._check(other)
         acc = dict(self.terms)
         for idx, c in other.terms:
-            _add_into(acc, idx, c)
+            add_into(acc, idx, c)
         return LElement(self.pair, acc)
 
     def __neg__(self) -> LElement:
@@ -238,7 +244,7 @@ class LElement:
                 i1, j1 = divmod(idx1, p)
                 for idx2, c2 in other.terms:
                     i2, j2 = divmod(idx2, p)
-                    _add_into(grid, (i1 + i2, j1 + j2), c1 * c2)
+                    add_into(grid, (i1 + i2, j1 + j2), c1 * c2)
             return LElement(self.pair, _fold(grid, self.pair))
         if isinstance(other, (LaurentPoly, FqElem, int)):
             if not isinstance(other, LaurentPoly):
@@ -312,7 +318,7 @@ def act_on_terms(g: GroupElement, terms) -> dict:
             for r, b in enumerate(row):
                 s = am * b % p
                 if s:
-                    _add_into(acc, m * p + r, c * s)
+                    add_into(acc, m * p + r, c * s)
     return acc
 
 

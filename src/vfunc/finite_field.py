@@ -71,8 +71,8 @@ class FieldParams:
     tiny, so brute force is the honest check).
     """
 
-    __slots__ = ("p", "n", "modulus", "_red", "_hash", "_units", "_vecs",
-                 "_log", "_zech", "_neg_one", "_elems", "_prime")
+    __slots__ = ("p", "n", "modulus", "_hash", "_units", "_vecs", "_log",
+                 "_zech", "_neg_one", "_elems", "_prime")
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
         if n < 1:
@@ -100,35 +100,17 @@ class FieldParams:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", mod)
-        # Rows expressing w^n .. w^(2n-2) in the power basis; everything a
-        # product of two basis vectors can spill into.
-        red = []
-        cur = [(-c) % p for c in mod[:n]]
-        for _ in range(n - 1):
-            red.append(tuple(cur))
-            spill = cur[-1]
-            cur = [0] + cur[:-1]
-            if spill:
-                cur = [(cur[i] + spill * red[0][i]) % p for i in range(n)]
-        object.__setattr__(self, "_red", tuple(red))
         object.__setattr__(self, "_hash", hash((p, n, mod)))
         self._build_tables()
 
     def _vec_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Product of coordinate vectors, reduced by the modulus."""
-        p, n = self.p, self.n
-        prod = [0] * (2 * n - 1)
+        prod = [0] * (2 * self.n - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        out = [c % p for c in prod[:n]]
-        for k in range(n, 2 * n - 1):
-            c = prod[k] % p
-            if c:
-                row = self._red[k - n]
-                out = [(out[i] + c * row[i]) % p for i in range(n)]
-        return tuple(out)
+        return tuple(_poly_mod(prod, self.modulus, self.p))
 
     def _build_tables(self) -> None:
         """Log, antilog and Zech tables from the first primitive element.

@@ -127,7 +127,7 @@ class LaurentPoly:
         self._check(other)
         acc = dict(self.terms)
         for e, c in other.terms:
-            _accumulate(acc, e, c)
+            add_into(acc, e, c)
         return LaurentPoly(self.field, acc)
 
     def __neg__(self) -> LaurentPoly:
@@ -170,13 +170,11 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def _accumulate(acc: dict[int, FqElem], e: int, c: FqElem) -> None:
-    cur = acc.get(e)
-    total = c if cur is None else cur + c
-    if total.is_zero():
-        acc.pop(e, None)
-    else:
-        acc[e] = total
+def add_into(acc: dict, key, c) -> None:
+    """acc[key] += c, storing c itself on a new key.  A sum that cancels
+    stays behind as a zero entry, so the caller drops zeros once at the end
+    (the LaurentPoly and LElement constructors do)."""
+    acc[key] = acc[key] + c if key in acc else c
 
 
 def wp(h: LaurentPoly) -> LaurentPoly:
@@ -209,8 +207,8 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
             if c is None or c.is_zero():
                 continue
             r = c.pth_root()
-            _accumulate(work, e // p, r)
-            _accumulate(witness, e // p, r)
+            add_into(work, e // p, r)
+            add_into(witness, e // p, r)
     c0 = work.pop(0, None)
     if c0 is not None and not c0.is_zero():
         if c0.abs_trace() != 0:
@@ -220,6 +218,6 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
         if x is None:
             raise InternalCheckFailed(
                 f"no Artin-Schreier root of trace-zero constant {c0}")
-        _accumulate(witness, 0, x)
+        add_into(witness, 0, x)
     rep = LaurentPoly(field, {e: c for e, c in work.items() if e < 0})
     return rep, LaurentPoly(field, witness)

@@ -23,23 +23,14 @@ from .laurent import INFINITY, LaurentPoly, reduce_to_J
 Rational = int | Fraction
 
 
-def _span(p: int, gens) -> set[tuple[int, int]]:
-    """The F_p-span of exponent pairs (i, j) in (Z/p)^2."""
-    span = {(0, 0)}
-    for gi, gj in gens:
-        addition = [(c * gi % p, c * gj % p) for c in range(p)]
-        span = {((i + di) % p, (j + dj) % p)
-                for i, j in span for di, dj in addition}
-    return span
-
-
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of (Z/p)^2, stored by a canonical echelon basis.
+    """Subgroup of (Z/p)^2, stored by its canonical echelon basis.
 
-    Generators are sigma-tau exponent pairs (i, j).  The canonical basis is
-    empty for the trivial subgroup, ((1, j),) or ((0, 1),) for order p, and
-    ((1, 0), (0, 1)) for the full group.
+    Generators are sigma-tau exponent pairs (i, j).  gens is always the
+    canonical basis: empty for the trivial subgroup, ((1, j),) or ((0, 1),)
+    for order p, and ((1, 0), (0, 1)) for the full group.  Equality and
+    is_subset rely on this, so only from_gens, full and trivial build one.
     """
 
     p: int
@@ -47,19 +38,13 @@ class Subgroup:
 
     @classmethod
     def from_gens(cls, p: int, gens) -> Subgroup:
-        span = _span(p, gens)
-        if len(span) == 1:
-            basis = ()
-        elif len(span) == p * p:
-            basis = ((1, 0), (0, 1))
-        else:
-            i, j = max(el for el in span if el != (0, 0))
-            if i != 0:
-                inv = pow(i, -1, p)
-                basis = ((1, j * inv % p),)
-            else:
-                basis = ((0, 1),)
-        return cls(p, basis)
+        nonzero = [(i % p, j % p) for i, j in gens if i % p or j % p]
+        if not nonzero:
+            return cls.trivial(p)
+        i, j = nonzero[0]
+        if any((i * y - j * x) % p for x, y in nonzero[1:]):
+            return cls.full(p)
+        return cls(p, ((1, j * pow(i, -1, p) % p),) if i else ((0, 1),))
 
     @classmethod
     def full(cls, p: int) -> Subgroup:
@@ -74,21 +59,30 @@ class Subgroup:
         return self.p ** len(self.gens)
 
     def elements(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_span(self.p, self.gens))
+        """Every element; the one place the span is enumerated."""
+        p = self.p
+        span = {(0, 0)}
+        for gi, gj in self.gens:
+            span = {((i + c * gi) % p, (j + c * gj) % p)
+                    for i, j in span for c in range(p)}
+        return frozenset(span)
 
     def contains(self, el: tuple[int, int]) -> bool:
-        return (el[0] % self.p, el[1] % self.p) in self.elements()
+        return Subgroup.from_gens(self.p, [el]).is_subset(self)
 
     def is_subset(self, other: Subgroup) -> bool:
         if self.p != other.p:
             raise InputError("subgroups of groups for different p")
-        return self.elements() <= other.elements()
+        return self.order == 1 or other.order == self.p ** 2 or self == other
 
     def intersect(self, other: Subgroup) -> Subgroup:
-        if self.p != other.p:
-            raise InputError("subgroups of groups for different p")
-        common = self.elements() & other.elements()
-        return Subgroup.from_gens(self.p, common)
+        """The smaller one if one contains the other, else trivial: two
+        distinct lines meet only in 0."""
+        if self.is_subset(other):
+            return self
+        if other.is_subset(self):
+            return other
+        return Subgroup.trivial(self.p)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .exact_linalg import kernel
 from .extension_algebra import (ExtensionPair, LElement, act, act_on_terms,
                                 sigma, tau)
 from .finite_field import FqElem
-from .laurent import INFINITY, LaurentPoly
+from .laurent import INFINITY, LaurentPoly, add_into
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _minus(acc: dict, terms) -> dict:
     """acc - terms on (index, coefficient) pairs, as {index: nonzero
     coefficient}; acc is consumed."""
     for idx, c in terms:
-        acc[idx] = acc[idx] - c if idx in acc else -c
+        add_into(acc, idx, -c)
     return {idx: c for idx, c in acc.items() if c}
 
 

@@ -211,3 +211,16 @@ def conditions_matrix_in_L(pair: ExtensionPair) -> list[list[LaurentPoly]]:
             second = act(tau(p), m) - m - pair.a * ds
             cols.append(coeffs(first) + coeffs(second))
     return [list(row) for row in zip(*cols)]
+
+
+# -- subgroups of (Z/p)^2 as element sets ------------------------------------
+
+def span(p: int, gens) -> set[tuple[int, int]]:
+    """The F_p-span of exponent pairs (i, j) in (Z/p)^2, enumerated: the
+    reference for Subgroup, which works on canonical bases alone."""
+    out = {(0, 0)}
+    for gi, gj in gens:
+        addition = [(c * gi % p, c * gj % p) for c in range(p)]
+        out = {((i + di) % p, (j + dj) % p)
+               for i, j in out for di, dj in addition}
+    return out

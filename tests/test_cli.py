@@ -21,6 +21,7 @@ from vfunc.cli import (
     main,
 )
 from vfunc.errors import G2DependentOnG1, LatticeAssertionFailed
+from vfunc.extension_algebra import MAX_TERMS
 from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly
 
@@ -288,6 +289,34 @@ def test_exit_code_validation_failures(tmp_path, capsys):
                        "g2": [[-3, "0,1"]]})
     code, _, err = run_cli(["filtration", "--input", bad_j], capsys)
     assert code == EXIT_INVALID and "NotInJ" in err
+
+
+def test_job_over_the_term_cap_exits_invalid(tmp_path, capsys):
+    over = [[-2 * k - 1, "1,0"] for k in range(MAX_TERMS, -1, -1)]
+    for key in ("g1", "g2"):
+        job = dict(TWO_BREAK_JOB, **{key: over})
+        path = write_job(tmp_path, f"{key}.json", job)
+        for command in ("v", "filtration"):
+            code, out, err = run_cli([command, "--input", path], capsys)
+            assert code == EXIT_INVALID and "TooManyTerms" in err
+            assert out == ""
+
+
+def test_sweep_max_degree_over_the_term_cap_exits_invalid(monkeypatch,
+                                                          capsys):
+    """At p = 2, D = 2 * MAX_TERMS allows MAX_TERMS exponents and one more
+    allows MAX_TERMS + 1; the check runs before any draw."""
+    drawn = []
+    monkeypatch.setattr("vfunc.cli._sweep_jobs",
+                        lambda *args: drawn.append(args) or [])
+    for degree, code_expected in ((2 * MAX_TERMS, EXIT_OK),
+                                  (2 * MAX_TERMS + 1, EXIT_INVALID)):
+        code, out, err = run_cli(["sweep", "--p", "2", "--n", "2",
+                                  "--max-degree", str(degree), "--seed", "1",
+                                  "--count", "1"], capsys)
+        assert code == code_expected, degree
+    assert "TooManyTerms" in err and out == ""
+    assert len(drawn) == 1
 
 
 def test_sweep_rejects_bad_parameters(capsys):

@@ -13,9 +13,11 @@ from vfunc import (
     MixedExtensions,
     NotInJ,
     SamplingExhausted,
+    TooManyTerms,
 )
 from vfunc.exact_linalg import det
 from vfunc.extension_algebra import (
+    MAX_TERMS,
     ExtensionPair,
     GroupElement,
     LElement,
@@ -65,6 +67,23 @@ def test_validation_rejects_bad_pairs(f4, f9):
         validate_pair(f9, u, h, 2 * h)
     with pytest.raises(G2DependentOnG1):
         validate_pair(f9, u, h, LaurentPoly.zero(f9))
+
+
+def test_term_count_is_capped(f4):
+    """MAX_TERMS terms pass; one more is rejected before the dependence
+    check, so even g2 = g1 reports the term count."""
+    w = f4.gen()
+    at_cap = LaurentPoly(f4, [(-2 * k - 1, f4.one())
+                              for k in range(MAX_TERMS)])
+    over = at_cap + LaurentPoly.t_pow(f4, -2 * MAX_TERMS - 1)
+    short = LaurentPoly.t_pow(f4, -1, w)
+    validate_pair(f4, w, at_cap, short)
+    with pytest.raises(TooManyTerms):
+        validate_pair(f4, w, over, short)
+    with pytest.raises(TooManyTerms):
+        validate_pair(f4, w, short, over)
+    with pytest.raises(TooManyTerms):
+        validate_pair(f4, w, over, over)
 
 
 def test_random_pair_gives_up_when_no_pair_exists():

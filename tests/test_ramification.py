@@ -1,5 +1,6 @@
 """Line decomposition, filtrations, transition functions, compatibility."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from vfunc.extension_algebra import validate_pair
 from vfunc.ramification import (
     Filtration,
     Subgroup,
+    _compat,
     annihilator,
     filtration_fingerprint,
     filtration_report,
@@ -20,7 +22,7 @@ from vfunc.ramification import (
     upper_filtration,
 )
 
-from conftest import make_rng, random_pair
+from conftest import make_rng, random_pair, span
 
 
 def series(field, *pairs):
@@ -70,6 +72,27 @@ def test_subgroup_intersections():
     assert a.intersect(b) == Subgroup.trivial(2)
     assert a.intersect(a) == a
     assert a.intersect(Subgroup.full(2)) == a
+
+
+def test_subgroup_operations_match_element_sets():
+    """Against the enumerated span, for every generator list of length
+    0-2: elements, order, membership, inclusion and intersection."""
+    for p in (2, 3, 5, 7):
+        group = list(itertools.product(range(p), repeat=2))
+        subs = {}
+        for k in range(3):
+            for gens in itertools.product(group, repeat=k):
+                sub = Subgroup.from_gens(p, gens)
+                assert sub.elements() == span(p, gens), (p, gens)
+                subs[sub] = span(p, gens)
+        assert len(subs) == p + 3
+        for sub, ref in subs.items():
+            assert sub.order == len(ref)
+            for i, j in itertools.product(range(-1, p + 1), repeat=2):
+                assert sub.contains((i, j)) == ((i % p, j % p) in ref)
+            for other, other_ref in subs.items():
+                assert sub.is_subset(other) == (ref <= other_ref)
+                assert sub.intersect(other).elements() == ref & other_ref
 
 
 # -- lines -------------------------------------------------------------------
@@ -305,6 +328,19 @@ def test_quotient_compatibility_random(f4, f9, f25):
         for _ in range(reps):
             pair = random_pair(field, rng, -(field.p ** 2 + 1))
             assert quotient_compat_check(pair)
+
+
+def test_compat_rejects_a_moved_or_relabelled_break(f4):
+    pair = shallow_deep_pair(f4)
+    ls = lines(pair)
+    upper = upper_filtration(pair)
+    assert _compat(2, ls, upper)
+    (u, sub), last = upper.breaks
+    moved = Filtration(numbering="upper", p=2, breaks=((u + 1, sub), last))
+    assert not _compat(2, ls, moved)
+    other = next(annihilator(ln) for ln in ls if annihilator(ln) != sub)
+    swapped = Filtration(numbering="upper", p=2, breaks=((u, other), last))
+    assert not _compat(2, ls, swapped)
 
 
 def test_filtration_report_matches_the_public_functions(f4, f9):
