@@ -27,7 +27,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     AInPrimeField,
@@ -242,8 +241,6 @@ def _random_job(field: FieldParams, rng: random.Random,
         g1 = _random_series(field, rng, max_degree)
         g2 = _random_series(field, rng, max_degree)
         a = field.random_element(rng)
-        if a.is_in_prime_field():
-            continue
         try:
             validate_pair(field, a, g1, g2)
         except InputError:
@@ -300,6 +297,9 @@ def cmd_sweep(args) -> int:
     jobs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: serial runs need not pay for it at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Worker k takes jobs k, k + workers, ...; job i's row is then row
         # i // workers of share i % workers.
         key = (field.p, field.n, field.modulus)

@@ -3,9 +3,9 @@
 
 Elements are written on the monomial basis alpha^i beta^j, 0 <= i, j < p,
 with Laurent-polynomial coefficients; alpha and beta are the classes of x
-and y.  The group element sigma^i tau^j acts by alpha -> alpha + j,
-beta -> beta + i (so sigma shifts beta, tau shifts alpha, and each fixes
-the other generator).
+and y.  The group element sigma^i tau^j is the exponent pair (i, j), and
+it acts by alpha -> alpha + j, beta -> beta + i (so sigma shifts beta, tau
+shifts alpha, and each fixes the other generator).
 
 For a valid pair (g1 nonzero in J, g2 in J outside F_p*g1, and the action
 parameter a outside F_p) this is the ring of a totally ramified (Z/p)^2
@@ -38,38 +38,9 @@ from .finite_field import FieldParams, FqElem
 from .laurent import LaurentPoly, add_into
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """sigma^i tau^j in (Z/p)^2, exponents stored reduced mod p."""
-
-    p: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "i", self.i % self.p)
-        object.__setattr__(self, "j", self.j % self.p)
-
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        if self.p != other.p:
-            raise MixedExtensions("group elements for different p")
-        return GroupElement(self.p, self.i + other.i, self.j + other.j)
-
-    def inverse(self) -> GroupElement:
-        return GroupElement(self.p, -self.i, -self.j)
-
-
-def sigma(p: int) -> GroupElement:
-    return GroupElement(p, 1, 0)
-
-
-def tau(p: int) -> GroupElement:
-    return GroupElement(p, 0, 1)
-
-
-def group_elements(p: int) -> list[GroupElement]:
-    return [GroupElement(p, i, j) for i in range(p) for j in range(p)]
-
+#: sigma and tau as exponent pairs; the group law is addition of pairs mod p.
+SIGMA = (1, 0)
+TAU = (0, 1)
 
 #: Most terms g1 or g2 may have.  The oracle's cost grows with the square
 #: of the term count, so a longer series raises TooManyTerms up front.
@@ -280,12 +251,12 @@ class LElement:
         p = self.pair.p
         y = self
         for j in range(1, p):
-            y = y * act(GroupElement(p, 0, j), self)
+            y = y * act((0, j), self)
         if any(idx >= p for idx, _ in y.terms):
             raise InternalCheckFailed("tau-orbit product is not in K(beta)")
         n = y
         for i in range(1, p):
-            n = n * act(GroupElement(p, i, 0), y)
+            n = n * act((i, 0), y)
         if any(idx for idx, _ in n.terms):
             raise InternalCheckFailed("sigma-orbit product is not in K")
         return n.coeff(0, 0)
@@ -300,21 +271,22 @@ class LElement:
         return "LElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def act_on_terms(g: GroupElement, terms) -> dict:
-    """Apply sigma^i tau^j to an element given by (i*p + j, coefficient)
-    pairs, over any coefficient ring over F_p (LaurentPoly or FqElem).
+def act_on_terms(p: int, g: tuple[int, int], terms) -> dict:
+    """Apply sigma^i tau^j, g = (i, j), to an element given by (i*p + j,
+    coefficient) pairs, over any coefficient ring over F_p (LaurentPoly or
+    FqElem).  The exponents may be unreduced or negative.
 
     alpha -> alpha + j and beta -> beta + i, so alpha^k beta^l goes to
     sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.  Returns
     {index: coefficient}, where terms that cancel leave zeros behind.
     """
-    p = g.p
+    gi, gj = g
     acc: dict = {}
     for idx, c in terms:
         k, l = divmod(idx, p)
-        row = [comb(l, r) * pow(g.i, l - r, p) % p for r in range(l + 1)]
+        row = [comb(l, r) * pow(gi, l - r, p) % p for r in range(l + 1)]
         for m in range(k + 1):
-            am = comb(k, m) * pow(g.j, k - m, p) % p
+            am = comb(k, m) * pow(gj, k - m, p) % p
             for r, b in enumerate(row):
                 s = am * b % p
                 if s:
@@ -322,11 +294,9 @@ def act_on_terms(g: GroupElement, terms) -> dict:
     return acc
 
 
-def act(g: GroupElement, x: LElement) -> LElement:
-    """Apply sigma^i tau^j: alpha -> alpha + j, beta -> beta + i."""
-    if g.p != x.pair.p:
-        raise MixedExtensions("group element for a different p")
-    return LElement(x.pair, act_on_terms(g, x.terms))
+def act(g: tuple[int, int], x: LElement) -> LElement:
+    """Apply sigma^i tau^j, g = (i, j): alpha -> alpha + j, beta -> beta + i."""
+    return LElement(x.pair, act_on_terms(x.pair.p, g, x.terms))
 
 
 def binomial_basis(pair: ExtensionPair) -> tuple[list[LElement], list[LElement]]:

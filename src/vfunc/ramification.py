@@ -27,24 +27,31 @@ Rational = int | Fraction
 class Subgroup:
     """Subgroup of (Z/p)^2, stored by its canonical echelon basis.
 
-    Generators are sigma-tau exponent pairs (i, j).  gens is always the
-    canonical basis: empty for the trivial subgroup, ((1, j),) or ((0, 1),)
-    for order p, and ((1, 0), (0, 1)) for the full group.  Equality and
-    is_subset rely on this, so only from_gens, full and trivial build one.
+    Generators are sigma-tau exponent pairs (i, j), in any number and
+    unreduced.  __post_init__ replaces them with the canonical basis of
+    their span: empty for the trivial subgroup, ((1, j),) or ((0, 1),) for
+    order p, and ((1, 0), (0, 1)) for the full group.  Equality and
+    is_subset rely on this.
     """
 
     p: int
     gens: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_gens(cls, p: int, gens) -> Subgroup:
-        nonzero = [(i % p, j % p) for i, j in gens if i % p or j % p]
-        if not nonzero:
-            return cls.trivial(p)
-        i, j = nonzero[0]
-        if any((i * y - j * x) % p for x, y in nonzero[1:]):
-            return cls.full(p)
-        return cls(p, ((1, j * pow(i, -1, p) % p),) if i else ((0, 1),))
+    def __post_init__(self):
+        # The first nonzero generator spans a line, scaled to (1, j) or
+        # (0, 1); any generator off that line makes the span everything.
+        p = self.p
+        gens: tuple[tuple[int, int], ...] = ()
+        for i, j in self.gens:
+            if not gens:
+                if i % p:
+                    gens = ((1, j * pow(i, -1, p) % p),)
+                elif j % p:
+                    gens = ((0, 1),)
+            elif (gens[0][0] * j - gens[0][1] * i) % p:
+                gens = ((1, 0), (0, 1))
+                break
+        object.__setattr__(self, "gens", gens)
 
     @classmethod
     def full(cls, p: int) -> Subgroup:
@@ -68,7 +75,7 @@ class Subgroup:
         return frozenset(span)
 
     def contains(self, el: tuple[int, int]) -> bool:
-        return Subgroup.from_gens(self.p, [el]).is_subset(self)
+        return Subgroup(self.p, (el,)).is_subset(self)
 
     def is_subset(self, other: Subgroup) -> bool:
         if self.p != other.p:
@@ -114,21 +121,13 @@ def lines(pair: ExtensionPair) -> list[Line]:
     return out
 
 
-def annihilator(line: Line | tuple[int, int], p: int | None = None) -> Subgroup:
-    """Order-p subgroup pairing to zero with the line: i*mu + j*lam = 0."""
-    if isinstance(line, Line):
-        lam, mu = line.coeffs
-        if p is None:
-            p = line.rep.field.p
-    else:
-        lam, mu = line
-        if p is None:
-            raise InputError("p is required alongside raw coefficients")
-    lam %= p
-    mu %= p
-    if lam == 0 and mu == 0:
+def annihilator(coeffs: tuple[int, int], p: int) -> Subgroup:
+    """Order-p subgroup pairing to zero with the line (lam : mu):
+    i*mu + j*lam = 0."""
+    lam, mu = coeffs
+    if lam % p == 0 and mu % p == 0:
         raise InputError("line coefficients must not both vanish")
-    return Subgroup.from_gens(p, [(lam, -mu % p)])
+    return Subgroup(p, ((lam, -mu),))
 
 
 @dataclass(frozen=True)
@@ -161,13 +160,8 @@ class Filtration:
             raise InternalCheckFailed("final subgroup is not trivial")
 
     def subgroup_at(self, v: Rational) -> Subgroup:
-        current = Subgroup.full(self.p)
-        for u, sub in self.breaks:
-            if u < v:
-                current = sub
-            else:
-                break
-        return current
+        below = [sub for u, sub in self.breaks if u < v]
+        return below[-1] if below else Subgroup.full(self.p)
 
     def break_values(self) -> list[Rational]:
         return [u for u, _ in self.breaks]
@@ -190,7 +184,7 @@ def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
         nxt = current
         for ln in ls:
             if ln.jump <= u:
-                nxt = nxt.intersect(annihilator(ln, p))
+                nxt = nxt.intersect(annihilator(ln.coeffs, p))
         if nxt.order < current.order:
             breaks.append((u, nxt))
             current = nxt
@@ -322,7 +316,7 @@ def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
     heights.add(max(probes) + 1)
     heights = {h for h in heights if h >= 0}
     for ln in all_lines:
-        h_sub = annihilator(ln, p)
+        h_sub = annihilator(ln.coeffs, p)
         for v in sorted(heights):
             quotient_full = v <= ln.jump
             image_full = not upper.subgroup_at(v).is_subset(h_sub)

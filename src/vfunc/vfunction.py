@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
-from .extension_algebra import (ExtensionPair, LElement, act, act_on_terms,
-                                sigma, tau)
+from .extension_algebra import (SIGMA, TAU, ExtensionPair, LElement, act,
+                                act_on_terms)
 from .finite_field import FqElem
 from .laurent import INFINITY, LaurentPoly, add_into
 
@@ -95,9 +95,9 @@ def _condition_images(p: int, a: FqElem, terms) -> tuple[dict, dict]:
     """m (sigma - 1)^2 and m (tau - 1) - a * m (sigma - 1) for m given by
     (index, coefficient) pairs over any coefficient ring over F_q, as
     {index: nonzero coefficient}; both are empty exactly on solutions."""
-    ds = _minus(act_on_terms(sigma(p), terms), terms).items()
-    first = _minus(act_on_terms(sigma(p), ds), ds)
-    second = _minus(act_on_terms(tau(p), terms), terms)
+    ds = _minus(act_on_terms(p, SIGMA, terms), terms).items()
+    first = _minus(act_on_terms(p, SIGMA, ds), ds)
+    second = _minus(act_on_terms(p, TAU, terms), terms)
     return first, _minus(second, [(idx, c * a) for idx, c in ds])
 
 
@@ -157,7 +157,7 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
     first, second = _condition_images(pair.p, pair.a, m.terms)
     if first or second:
         raise NotInTheta("element does not satisfy the defining conditions")
-    return act(sigma(pair.p), m) - m, m
+    return act(SIGMA, m) - m, m
 
 
 def v_oracle(pair: ExtensionPair) -> VResult:
@@ -170,8 +170,12 @@ def v_oracle(pair: ExtensionPair) -> VResult:
     tb = theta_lattice(pair)
     u1 = tb.m1 * LaurentPoly.t_pow(pair.field, tb.e1)
     u2 = tb.m2 * LaurentPoly.t_pow(pair.field, tb.e2)
-    phi1 = theta_to_xi(u1)
-    phi2 = theta_to_xi(u2)
+    try:
+        phi1 = theta_to_xi(u1)
+        phi2 = theta_to_xi(u2)
+    except NotInTheta as exc:
+        # The basis came from the kernel, so this is a fault, not bad input.
+        raise InternalCheckFailed(f"lattice basis element: {exc}") from exc
     det2 = phi1[0] * phi2[1] - phi1[1] * phi2[0]
     val = det2.valuation()
     if val == INFINITY:

@@ -6,11 +6,11 @@ import pytest
 
 from vfunc.errors import InputError, SamplingExhausted
 from vfunc.extension_algebra import (
+    SIGMA,
+    TAU,
     ExtensionPair,
     LElement,
     act,
-    sigma,
-    tau,
     validate_pair,
 )
 from vfunc.finite_field import FieldParams, FqElem
@@ -206,9 +206,9 @@ def conditions_matrix_in_L(pair: ExtensionPair) -> list[list[LaurentPoly]]:
     for i in range(p):
         for j in range(p):
             m = LElement.monomial(pair, i, j)
-            ds = act(sigma(p), m) - m
-            first = act(sigma(p), ds) - ds
-            second = act(tau(p), m) - m - pair.a * ds
+            ds = act(SIGMA, m) - m
+            first = act(SIGMA, ds) - ds
+            second = act(TAU, m) - m - pair.a * ds
             cols.append(coeffs(first) + coeffs(second))
     return [list(row) for row in zip(*cols)]
 

@@ -1,6 +1,7 @@
 """End-to-end command tests: outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import vfunc
-from vfunc import ramification
+from vfunc import ramification, vfunction
 from vfunc.cli import (
     _MAX_DRAWS,
     EXIT_INVALID,
@@ -21,7 +22,7 @@ from vfunc.cli import (
     main,
 )
 from vfunc.errors import G2DependentOnG1, LatticeAssertionFailed
-from vfunc.extension_algebra import MAX_TERMS
+from vfunc.extension_algebra import MAX_TERMS, LElement
 from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly
 
@@ -211,7 +212,8 @@ def fake_pool(sizes):
 
 def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
     sizes = []
-    monkeypatch.setattr("vfunc.cli.ProcessPoolExecutor", fake_pool(sizes))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        fake_pool(sizes))
     _, serial, _ = run_cli(sweep_args(), capsys)
     # (CPU count, --jobs, --count, pool size or None for a serial run)
     for cpus, jobs, count, size in ((4, 100000, 8, 4), (16, 100000, 8, 8),
@@ -239,7 +241,8 @@ def test_sweep_builds_its_field_once_per_process(monkeypatch, capsys):
     assert len(built) == 1
     # under --jobs each worker builds the field once for its share
     sizes = []
-    monkeypatch.setattr("vfunc.cli.ProcessPoolExecutor", fake_pool(sizes))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        fake_pool(sizes))
     monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
     for jobs in (2, 3):
         built.clear()
@@ -403,14 +406,35 @@ def test_missing_artin_schreier_root_exits_mismatch(tmp_path, capsys,
                    "Artin-Schreier root of trace-zero constant 1,0\n")
 
 
+def test_oracle_basis_outside_theta_exits_mismatch(tmp_path, capsys,
+                                                   monkeypatch):
+    # A lattice basis that fails the theta conditions is a fault of the
+    # kernel, not bad input, so it must not exit 3.
+    theta_lattice = vfunction.theta_lattice
+
+    def corrupted(pair):
+        tb = theta_lattice(pair)
+        return dataclasses.replace(tb, m2=tb.m2 + LElement.alpha(pair))
+
+    monkeypatch.setattr(vfunction, "theta_lattice", corrupted)
+    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+    code, out, err = run_cli(["v", "--input", path], capsys)
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.startswith("internal check failed: InternalCheckFailed: ")
+    assert "defining conditions" in err
+
+
 def test_importing_the_cli_leaves_numpy_out():
+    # nor the process pool, which only sweep --jobs uses
     src = os.path.dirname(os.path.dirname(vfunc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, vfunc.cli; print('numpy' in sys.modules)"],
+         "import sys, vfunc.cli; print('numpy' in sys.modules, "
+         "'concurrent.futures.process' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def test_package_exports_validate_pair():

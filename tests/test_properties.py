@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vfunc.extension_algebra import LElement, validate_pair
+from vfunc.extension_algebra import LElement, act, validate_pair
 from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly
 from vfunc.ramification import quotient_compat_check
@@ -78,7 +78,7 @@ def derandomized(max_examples: int):
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-@over(SMALL_FIELDS + [FieldParams(7, 2)])
+@over(SMALL_FIELDS + [FieldParams(7, 2), FieldParams(11, 2)])
 @derandomized(max_examples=25)
 @given(data=st.data())
 def test_formula_equals_oracle(field, data):
@@ -112,3 +112,15 @@ def test_sums_cancel(field, data):
     x, y = data.draw(element_pairs(field))
     assert (x + y) - y == x
     assert (x - x).is_zero()
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=15)
+@given(data=st.data())
+def test_action_composes_on_exponent_pairs(field, data):
+    """sigma^i tau^j is the pair (i, j) and the group law adds pairs, also
+    for unreduced and negative exponents."""
+    x, _ = data.draw(element_pairs(field))
+    exponent = st.integers(-2 * field.p, 2 * field.p)
+    i1, j1, i2, j2 = data.draw(st.tuples(*[exponent] * 4))
+    assert act((i1 + i2, j1 + j2), x) == act((i1, j1), act((i2, j2), x))
