@@ -14,11 +14,17 @@ p^2 conjugates, taken as a tau-orbit product into K(beta) and then a
 sigma-orbit product into K; valuations are read off the norm, so they stay
 meaningful for every pair accepted by validation without ever constructing
 a uniformizer.
+
+Products, the action and norms run on F_q codes (see finite_field): an
+element is then held as Codes, {index: {exponent: code}} with nonzero
+entries only, and every sum of products goes through
+FieldParams.accumulate, so no intermediate LaurentPoly or FqElem is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import (
@@ -41,6 +47,11 @@ from .laurent import LaurentPoly, add_into
 #: sigma and tau as exponent pairs; the group law is addition of pairs mod p.
 SIGMA = (1, 0)
 TAU = (0, 1)
+
+#: An element of L on F_q codes: {i*p + j: {exponent: code}}, the
+#: coordinates of LElement.terms with each LaurentPoly as {e: c.code}.
+#: Only nonzero entries are held, and no coordinate is left empty.
+Codes = dict[int, dict[int, int]]
 
 #: Most terms g1 or g2 may have.  The oracle's cost grows with the square
 #: of the term count, so a longer series raises TooManyTerms up front.
@@ -87,25 +98,55 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
     return ExtensionPair(field, a, g1, g2)
 
 
-def _fold(grid: dict[tuple[int, int], LaurentPoly],
-          pair: ExtensionPair) -> dict[int, LaurentPoly]:
-    """Reduce a grid {(I, J): coefficient of alpha^I beta^J}, I, J <= 2p-2,
-    modulo alpha^p = alpha + g1 and then beta^p = beta + g2.
+def _poly(field: FieldParams, row: dict[int, int]) -> LaurentPoly:
+    """The LaurentPoly of an {exponent: code} row."""
+    return LaurentPoly(field, [(e, field.from_code(k)) for e, k in row.items()])
 
-    z^k for k >= p becomes z^(k-p+1) + g * z^(k-p) with k - p + 1 < p, so
-    one pass per generator leaves only exponents below p; returns the
-    coordinates keyed by i*p + j.
+
+def add_scaled(field: FieldParams, acc: Codes, k: int, x: Codes) -> None:
+    """acc += g^k * x in place, on codes; a coordinate that cancels leaves
+    acc."""
+    for idx, row in x.items():
+        cell = acc.setdefault(idx, {})
+        field.accumulate(cell, k, row.items())
+        if not cell:
+            del acc[idx]
+
+
+def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
+    """x * y in L, on codes.
+
+    The coordinate products go into a grid {(I, J): row} of alpha^I beta^J,
+    I, J <= 2p - 2, which is then reduced modulo alpha^p = alpha + g1 and
+    beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p) with
+    k - p + 1 < p, so one pass per generator leaves only exponents below p.
     """
-    p = pair.p
+    p, field = pair.p, pair.field
+    accumulate = field.accumulate
+    grid: dict[tuple[int, int], dict[int, int]] = {}
+    ys = [(divmod(idx, p), list(row.items())) for idx, row in y.items()]
+    for idx, row in x.items():
+        i1, j1 = divmod(idx, p)
+        for (i2, j2), row2 in ys:
+            cell = grid.setdefault((i1 + i2, j1 + j2), {})
+            for e, k in row.items():
+                accumulate(cell, k, row2, e)
+    one = field.one().code
+    g1 = [(e, c.code) for e, c in pair.g1.terms]
     for i, j in [key for key in grid if key[0] >= p]:
-        c = grid.pop((i, j))
-        add_into(grid, (i - p + 1, j), c)
-        add_into(grid, (i - p, j), c * pair.g1)
+        cell = grid.pop((i, j)).items()
+        accumulate(grid.setdefault((i - p + 1, j), {}), one, cell)
+        low = grid.setdefault((i - p, j), {})
+        for e, k in g1:
+            accumulate(low, k, cell, e)
+    g2 = [(e, c.code) for e, c in pair.g2.terms]
     for i, j in [key for key in grid if key[1] >= p]:
-        c = grid.pop((i, j))
-        add_into(grid, (i, j - p + 1), c)
-        add_into(grid, (i, j - p), c * pair.g2)
-    return {i * p + j: c for (i, j), c in grid.items()}
+        cell = grid.pop((i, j)).items()
+        accumulate(grid.setdefault((i, j - p + 1), {}), one, cell)
+        low = grid.setdefault((i, j - p), {})
+        for e, k in g2:
+            accumulate(low, k, cell, e)
+    return {i * p + j: cell for (i, j), cell in grid.items() if cell}
 
 
 class LElement:
@@ -168,6 +209,15 @@ class LElement:
         return cls(pair, {pair.p: LaurentPoly.t_pow(pair.field, 0, pair.a),
                           1: LaurentPoly.one(pair.field)})
 
+    @classmethod
+    def from_codes(cls, pair: ExtensionPair, x: Codes) -> LElement:
+        """The element held as Codes by x; see codes()."""
+        return cls(pair, {idx: _poly(pair.field, row) for idx, row in x.items()})
+
+    def codes(self) -> Codes:
+        """This element on F_q codes, {index: {exponent: code}}."""
+        return {idx: {e: c.code for e, c in f.terms} for idx, f in self.terms}
+
     # -- structure -----------------------------------------------------------
 
     def coeff(self, i: int, j: int) -> LaurentPoly:
@@ -209,14 +259,8 @@ class LElement:
     def __mul__(self, other):
         if isinstance(other, LElement):
             self._check(other)
-            p = self.pair.p
-            grid: dict[tuple[int, int], LaurentPoly] = {}
-            for idx1, c1 in self.terms:
-                i1, j1 = divmod(idx1, p)
-                for idx2, c2 in other.terms:
-                    i2, j2 = divmod(idx2, p)
-                    add_into(grid, (i1 + i2, j1 + j2), c1 * c2)
-            return LElement(self.pair, _fold(grid, self.pair))
+            return LElement.from_codes(
+                self.pair, _mul(self.pair, self.codes(), other.codes()))
         if isinstance(other, (LaurentPoly, FqElem, int)):
             if not isinstance(other, LaurentPoly):
                 other = LaurentPoly.t_pow(self.pair.field, 0, other)
@@ -246,20 +290,23 @@ class LElement:
 
         y = prod_j tau^j(self) is tau-fixed, so it lies in K(beta), and
         prod_i sigma^i(y) is fixed by the whole group, so it lies in K.  A
-        coordinate off K(beta), or off K, raises InternalCheckFailed.
+        coordinate off K(beta), or off K, raises InternalCheckFailed.  All
+        2(p - 1) products run on codes.
         """
-        p = self.pair.p
-        y = self
+        pair = self.pair
+        p, field = pair.p, pair.field
+        x = self.codes()
+        y = x
         for j in range(1, p):
-            y = y * act((0, j), self)
-        if any(idx >= p for idx, _ in y.terms):
+            y = _mul(pair, y, act_on_terms(field, (0, j), x))
+        if any(idx >= p for idx in y):
             raise InternalCheckFailed("tau-orbit product is not in K(beta)")
         n = y
         for i in range(1, p):
-            n = n * act((i, 0), y)
-        if any(idx for idx, _ in n.terms):
+            n = _mul(pair, n, act_on_terms(field, (i, 0), y))
+        if any(n):
             raise InternalCheckFailed("sigma-orbit product is not in K")
-        return n.coeff(0, 0)
+        return _poly(field, n.get(0, {}))
 
     def valuation(self):
         """v_L, normalized so v_L(t) = p^2; INFINITY on zero."""
@@ -271,32 +318,45 @@ class LElement:
         return "LElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def act_on_terms(p: int, g: tuple[int, int], terms) -> dict:
-    """Apply sigma^i tau^j, g = (i, j), to an element given by (i*p + j,
-    coefficient) pairs, over any coefficient ring over F_p (LaurentPoly or
-    FqElem).  The exponents may be unreduced or negative.
+@lru_cache(maxsize=64)
+def _shift_rows(field: FieldParams,
+                c: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The expansion of z -> z + c, c in F_p: row k holds the pairs
+    (m, code of C(k, m) c^(k-m)) with a nonzero coefficient, for
+    0 <= k < p.  Built on first use and kept, once per field and c."""
+    p = field.p
+    return tuple(tuple((m, field.elem(r).code) for m in range(k + 1)
+                       if (r := comb(k, m) * pow(c, k - m, p) % p))
+                 for k in range(p))
+
+
+def act_on_terms(field: FieldParams, g: tuple[int, int], x: Codes) -> Codes:
+    """Apply sigma^i tau^j, g = (i, j), to an element on codes.  The
+    exponents may be unreduced or negative.
 
     alpha -> alpha + j and beta -> beta + i, so alpha^k beta^l goes to
-    sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.  Returns
-    {index: coefficient}, where terms that cancel leave zeros behind.
+    sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.
     """
-    gi, gj = g
-    acc: dict = {}
-    for idx, c in terms:
+    p, units = field.p, field.q - 1
+    accumulate = field.accumulate
+    alpha_rows = _shift_rows(field, g[1] % p)
+    beta_rows = _shift_rows(field, g[0] % p)
+    acc: Codes = {}
+    for idx, row in x.items():
         k, l = divmod(idx, p)
-        row = [comb(l, r) * pow(gi, l - r, p) % p for r in range(l + 1)]
-        for m in range(k + 1):
-            am = comb(k, m) * pow(gj, k - m, p) % p
-            for r, b in enumerate(row):
-                s = am * b % p
-                if s:
-                    add_into(acc, m * p + r, c * s)
-    return acc
+        items = row.items()
+        beta_row = beta_rows[l]
+        for m, am in alpha_rows[k]:
+            for r, b in beta_row:
+                s = am + b
+                accumulate(acc.setdefault(m * p + r, {}),
+                           s - units if s >= units else s, items)
+    return {idx: cell for idx, cell in acc.items() if cell}
 
 
 def act(g: tuple[int, int], x: LElement) -> LElement:
     """Apply sigma^i tau^j, g = (i, j): alpha -> alpha + j, beta -> beta + i."""
-    return LElement(x.pair, act_on_terms(x.pair.p, g, x.terms))
+    return LElement.from_codes(x.pair, act_on_terms(x.pair.field, g, x.codes()))
 
 
 def binomial_basis(pair: ExtensionPair) -> tuple[list[LElement], list[LElement]]:

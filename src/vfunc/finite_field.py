@@ -169,33 +169,43 @@ class FieldParams:
     def _neg(self, a: int) -> int:
         return self._mul(a, self._neg_one)
 
-    def convolve(self, a: Sequence[tuple[int, FqElem]],
-                 b: Sequence[tuple[int, FqElem]]) -> list[tuple[int, FqElem]]:
-        """Sums of c1 * c2 over e1 + e2 for two lists of (e, c), c nonzero.
+    def accumulate(self, acc: dict[int, int], k: int, row,
+                   shift: int = 0) -> None:
+        """acc += g^k * row, shifted by t^shift, on codes and in place.
 
-        This is the product of two Laurent polynomials, the hot loop of
-        every product in L, so _mul and _add are inlined on codes.  The
-        result may hold zero coefficients where terms cancel.
+        acc maps an exponent to the code of a nonzero coefficient, row is
+        (exponent, code) pairs of nonzero coefficients, and k is the code
+        of a nonzero scale.
+        Each c * t^e of row adds g^k * c at exponent e + shift, and an entry
+        that cancels leaves acc.  This is the one Zech loop: Laurent
+        products, the kernel's row operations and products in L all run on
+        it, with _mul and _add inlined on codes.
         """
         units, zech = self._units, self._zech
-        acc: dict[int, int] = {}
-        for e1, c1 in a:
-            k = c1.code
-            for e2, c2 in b:
-                m = k + c2.code
-                if m >= units:
-                    m -= units
-                e = e1 + e2
-                cur = acc.get(e, units)
-                if cur != units:
-                    z = zech[m - cur]
-                    if z == units:
-                        m = units
-                    else:
-                        m = cur + z
-                        if m >= units:
-                            m -= units
+        for e, c in row:
+            m = c + k
+            if m >= units:
+                m -= units
+            e += shift
+            cur = acc.get(e)
+            if cur is None:
                 acc[e] = m
+                continue
+            z = zech[m - cur]   # a negative index is m - cur mod q - 1
+            if z == units:
+                del acc[e]
+            else:
+                m = cur + z
+                acc[e] = m - units if m >= units else m
+
+    def convolve(self, a: Sequence[tuple[int, FqElem]],
+                 b: Sequence[tuple[int, FqElem]]) -> list[tuple[int, FqElem]]:
+        """Sums of c1 * c2 over e1 + e2 for two lists of (e, c), c nonzero:
+        the product of two Laurent polynomials, nonzero sums only."""
+        acc: dict[int, int] = {}
+        row = [(e, c.code) for e, c in b]
+        for e, c in a:
+            self.accumulate(acc, c.code, row, e)
         elems = self._elems
         return [(e, elems[m]) for e, m in acc.items()]
 
@@ -215,28 +225,8 @@ class FieldParams:
     def sub_scaled_row(self, row: dict[int, int], k: int,
                        pivot: dict[int, int]) -> None:
         """row -= g^k * pivot in place; entries that cancel leave the row.
-
-        The elimination step of a sparse row reduction, with _mul, _neg
-        and _add inlined on codes as in convolve.
-        """
-        units, zech = self._units, self._zech
-        k += self._neg_one
-        if k >= units:
-            k -= units
-        for j, c in pivot.items():
-            m = c + k
-            if m >= units:
-                m -= units
-            cur = row.get(j)
-            if cur is None:
-                row[j] = m
-                continue
-            z = zech[m - cur]
-            if z == units:
-                del row[j]
-            else:
-                m = cur + z
-                row[j] = m - units if m >= units else m
+        The elimination step of a sparse row reduction."""
+        self.accumulate(row, self._mul(k, self._neg_one), pivot.items())
 
     @property
     def q(self) -> int:

@@ -308,18 +308,24 @@ def quotient_compat_check(pair: ExtensionPair) -> bool:
 
 
 def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
-    heights: set[Fraction] = {Fraction(0)}
-    probes = [Fraction(u) for u in upper.break_values()]
-    probes += [Fraction(ln.jump) for ln in all_lines]
+    # Heights are probed doubled, as integers: every break and jump is an
+    # integer, so the probes u - 1/2, u and u + 1/2 are 2u - 1, 2u and
+    # 2u + 1, and the subgroup at height h / 2 follows the last break u
+    # with 2u < h, as in Filtration.subgroup_at.
+    probes = [2 * u for u in upper.break_values()]
+    probes += [2 * ln.jump for ln in all_lines]
+    heights = {0, max(probes) + 2}
     for u in probes:
-        heights.update((u - Fraction(1, 2), u, u + Fraction(1, 2)))
-    heights.add(max(probes) + 1)
-    heights = {h for h in heights if h >= 0}
+        heights.update((u - 1, u, u + 1))
+    full = Subgroup.full(p)
+    images = []
+    for h in sorted(h for h in heights if h >= 0):
+        below = [sub for u, sub in upper.breaks if 2 * u < h]
+        images.append((h, below[-1] if below else full))
     for ln in all_lines:
         h_sub = annihilator(ln.coeffs, p)
-        for v in sorted(heights):
-            quotient_full = v <= ln.jump
-            image_full = not upper.subgroup_at(v).is_subset(h_sub)
-            if quotient_full != image_full:
+        for h, sub in images:
+            # The image in G/H is everything exactly when sub is not in H.
+            if (h <= 2 * ln.jump) == sub.is_subset(h_sub):
                 return False
     return True

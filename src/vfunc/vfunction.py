@@ -16,8 +16,8 @@ for m in L (writing m (g - 1) for act(g, m) - m), scales an echelon basis
 of the solution space into the integral lattice, and reads v off the
 extension valuation of a 2x2 determinant of images.  The group sends a
 monomial to an F_p-combination of monomials and a is a constant, so the
-conditions are written once, on (index, coefficient) pairs: over F_q on
-the basis monomials they give the 2p^2 x p^2 matrix that
+conditions are written once, on elements held as F_q codes: on the basis
+monomials they give the 2p^2 x p^2 matrix that
 exact_linalg.kernel solves, and on elements of L they check the images.
 
 The two routes share no code beyond the base arithmetic, so their
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
-from .extension_algebra import (SIGMA, TAU, ExtensionPair, LElement, act,
-                                act_on_terms)
+from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
+                                act, act_on_terms, add_scaled)
 from .finite_field import FqElem
-from .laurent import INFINITY, LaurentPoly, add_into
+from .laurent import INFINITY, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -83,35 +83,39 @@ def v_formula(pair: ExtensionPair) -> VResult:
     return VResult(value=_ceil_div(s, p * p), s=s, route="formula")
 
 
-def _minus(acc: dict, terms) -> dict:
-    """acc - terms on (index, coefficient) pairs, as {index: nonzero
-    coefficient}; acc is consumed."""
-    for idx, c in terms:
-        add_into(acc, idx, -c)
-    return {idx: c for idx, c in acc.items() if c}
+def _condition_images(pair: ExtensionPair, m: Codes) -> tuple[Codes, Codes]:
+    """m (sigma - 1)^2 and m (tau - 1) - a * m (sigma - 1) for m on F_q
+    codes, as codes; both are empty exactly on solutions."""
+    field = pair.field
+    minus_one = (-field.one()).code
 
+    def diff(g: tuple[int, int], y: Codes) -> Codes:
+        """y (g - 1)."""
+        out = act_on_terms(field, g, y)
+        add_scaled(field, out, minus_one, y)
+        return out
 
-def _condition_images(p: int, a: FqElem, terms) -> tuple[dict, dict]:
-    """m (sigma - 1)^2 and m (tau - 1) - a * m (sigma - 1) for m given by
-    (index, coefficient) pairs over any coefficient ring over F_q, as
-    {index: nonzero coefficient}; both are empty exactly on solutions."""
-    ds = _minus(act_on_terms(p, SIGMA, terms), terms).items()
-    first = _minus(act_on_terms(p, SIGMA, ds), ds)
-    second = _minus(act_on_terms(p, TAU, terms), terms)
-    return first, _minus(second, [(idx, c * a) for idx, c in ds])
+    ds = diff(SIGMA, m)
+    second = diff(TAU, m)
+    add_scaled(field, second, (-pair.a).code, ds)
+    return diff(SIGMA, ds), second
 
 
 def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
     """The 2p^2 x p^2 matrix of both conditions on the monomial basis over
     F_q, as {column: nonzero entry} rows: column idx holds the images of
-    the monomial with index idx, the first condition above the second."""
+    the monomial with index idx and coefficient 1, the first condition
+    above the second.  The action and the scaling by a keep coefficients
+    constant, so every image coordinate is a row {0: code}."""
     n = pair.p ** 2
+    field = pair.field
+    one = field.one().code
     rows: list[dict[int, FqElem]] = [{} for _ in range(2 * n)]
     for col in range(n):
-        images = _condition_images(pair.p, pair.a, [(col, pair.field.one())])
+        images = _condition_images(pair, {col: {0: one}})
         for offset, image in zip((0, n), images):
-            for idx, c in image.items():
-                rows[offset + idx][col] = c
+            for idx, row in image.items():
+                rows[offset + idx][col] = field.from_code(row[0])
     return rows
 
 
@@ -153,8 +157,7 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
     phi(x1) = act(sigma, m) - m and phi(x2) = m.  Raises NotInTheta when m
     fails either defining condition, since only then is phi equivariant.
     """
-    pair = m.pair
-    first, second = _condition_images(pair.p, pair.a, m.terms)
+    first, second = _condition_images(m.pair, m.codes())
     if first or second:
         raise NotInTheta("element does not satisfy the defining conditions")
     return act(SIGMA, m) - m, m

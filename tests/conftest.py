@@ -14,7 +14,7 @@ from vfunc.extension_algebra import (
     validate_pair,
 )
 from vfunc.finite_field import FieldParams, FqElem
-from vfunc.laurent import LaurentPoly
+from vfunc.laurent import LaurentPoly, add_into
 
 
 @pytest.fixture(scope="session")
@@ -194,6 +194,37 @@ def mult_matrix(x: LElement):
     cols = [coeffs(x * LElement.monomial(x.pair, i, j))
             for i in range(p) for j in range(p)]
     return [list(row) for row in zip(*cols)]
+
+
+def _fold(grid: dict[tuple[int, int], LaurentPoly],
+          pair: ExtensionPair) -> dict[int, LaurentPoly]:
+    """Reduce a grid {(I, J): coefficient of alpha^I beta^J}, I, J <= 2p-2,
+    modulo alpha^p = alpha + g1 and then beta^p = beta + g2, to the
+    coordinates keyed by i*p + j."""
+    p = pair.p
+    for i, j in [key for key in grid if key[0] >= p]:
+        c = grid.pop((i, j))
+        add_into(grid, (i - p + 1, j), c)
+        add_into(grid, (i - p, j), c * pair.g1)
+    for i, j in [key for key in grid if key[1] >= p]:
+        c = grid.pop((i, j))
+        add_into(grid, (i, j - p + 1), c)
+        add_into(grid, (i, j - p), c * pair.g2)
+    return {i * p + j: c for (i, j), c in grid.items()}
+
+
+def reference_mul(x: LElement, y: LElement) -> LElement:
+    """x * y in L on LaurentPoly coefficients: every coordinate product is
+    a LaurentPoly product, summed into a grid of alpha^I beta^J and folded
+    by the defining relations.  The reference for the product on codes."""
+    p = x.pair.p
+    grid: dict[tuple[int, int], LaurentPoly] = {}
+    for idx1, c1 in x.terms:
+        i1, j1 = divmod(idx1, p)
+        for idx2, c2 in y.terms:
+            i2, j2 = divmod(idx2, p)
+            add_into(grid, (i1 + i2, j1 + j2), c1 * c2)
+    return LElement(x.pair, _fold(grid, x.pair))
 
 
 def conditions_matrix_in_L(pair: ExtensionPair) -> list[list[LaurentPoly]]:

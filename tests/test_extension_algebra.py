@@ -1,5 +1,7 @@
 """Checks for the rank-p^2 algebra, its group action, and norms."""
 
+from math import comb
+
 import pytest
 
 from vfunc import (
@@ -23,6 +25,7 @@ from vfunc.extension_algebra import (
     ExtensionPair,
     LElement,
     act,
+    act_on_terms,
     binomial_basis,
     validate_pair,
 )
@@ -148,6 +151,35 @@ def test_action_composes(f9):
         h = (rng.randrange(3), rng.randrange(3))
         assert act((g[0] + h[0], g[1] + h[1]), x) == act(g, act(h, x))
     assert act((0, 0), x) == x
+
+
+def test_action_on_codes_matches_the_binomial_formula():
+    """act_on_terms against sum C(k, m) j^(k-m) C(l, r) i^(l-r) c over
+    F_q, for p = 2..13 and exponent pairs unreduced or negative."""
+    rng = make_rng("act-codes")
+    for p in (2, 3, 5, 7, 11, 13):
+        field = FieldParams(p, 2)
+        for _ in range(6):
+            x = {}
+            for idx in rng.sample(range(p * p), rng.randint(1, 4)):
+                x[idx] = {e: rng.randrange(field.q - 1)
+                          for e in rng.sample(range(-3, 3), rng.randint(1, 3))}
+            g = (rng.randint(-2 * p, 2 * p), rng.randint(-2 * p, 2 * p))
+            expected = {}
+            for idx, row in x.items():
+                k, l = divmod(idx, p)
+                for m in range(k + 1):
+                    for r in range(l + 1):
+                        s = (comb(k, m) * comb(l, r) * g[1] ** (k - m)
+                             * g[0] ** (l - r)) % p
+                        cell = expected.setdefault(m * p + r, {})
+                        for e, code in row.items():
+                            c = field.from_code(code) * s
+                            cell[e] = cell.get(e, field.zero()) + c
+            expected = {idx: {e: c.code for e, c in cell.items() if c}
+                        for idx, cell in expected.items()}
+            assert act_on_terms(field, g, x) == {
+                idx: cell for idx, cell in expected.items() if cell}
 
 
 def random_element(pair, rng, lo=-4, hi=3, density=0.4):
@@ -327,9 +359,12 @@ def test_norm_is_multiplicative(f4, f25):
 
 
 def test_norm_checks_trip_on_a_broken_action(f9, monkeypatch):
-    """With act the identity, N(alpha) leaves K(beta) and N(beta) leaves K."""
+    """With the action the identity, N(alpha) leaves K(beta) and N(beta)
+    leaves K.  The norm acts through act_on_terms on codes, so that is the
+    function patched."""
     pair = random_pair(f9, make_rng("norm-broken-act"))
-    monkeypatch.setattr("vfunc.extension_algebra.act", lambda g, x: x)
+    monkeypatch.setattr("vfunc.extension_algebra.act_on_terms",
+                        lambda field, g, x: x)
     with pytest.raises(InternalCheckFailed, match="K\\(beta\\)"):
         LElement.alpha(pair).norm()
     with pytest.raises(InternalCheckFailed, match="not in K$"):

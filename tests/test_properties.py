@@ -15,7 +15,7 @@ from vfunc.laurent import LaurentPoly
 from vfunc.ramification import quotient_compat_check
 from vfunc.vfunction import v_formula, v_oracle
 
-from conftest import capped_draw
+from conftest import capped_draw, reference_mul
 
 F8 = FieldParams(2, 3, (1, 1, 0, 1))
 F27 = FieldParams(3, 3, (1, 2, 0, 1))
@@ -124,3 +124,17 @@ def test_action_composes_on_exponent_pairs(field, data):
     exponent = st.integers(-2 * field.p, 2 * field.p)
     i1, j1, i2, j2 = data.draw(st.tuples(*[exponent] * 4))
     assert act((i1 + i2, j1 + j2), x) == act((i1, j1), act((i2, j2), x))
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=20)
+@given(data=st.data())
+def test_product_matches_the_laurent_reference(field, data):
+    """The product on F_q codes equals the LaurentPoly product plus the
+    fold.  (u + v)(u - v) has cross terms u*v that cancel coefficient by
+    coefficient (for p = 2 too, where they come twice), so the draws also
+    reach the deletion of cancelled entries."""
+    u, v = data.draw(element_pairs(field))
+    assert u * v == reference_mul(u, v)
+    x, y = u + v, u - v
+    assert x * y == reference_mul(x, y)
