@@ -15,10 +15,10 @@ sigma-orbit product into K; valuations are read off the norm, so they stay
 meaningful for every pair accepted by validation without ever constructing
 a uniformizer.
 
-Products, the action and norms run on F_q codes (see finite_field): an
-element is then held as Codes, {index: {exponent: code}} with nonzero
-entries only, and every sum of products goes through
-FieldParams.accumulate, so no intermediate LaurentPoly or FqElem is built.
+An element is held on F_q codes alone (see finite_field), as Codes,
+{index: {exponent: code}} with nonzero entries only.  Sums, products, the
+action and norms run on it through FieldParams.accumulate, so none of them
+builds an intermediate LaurentPoly or FqElem.
 """
 
 from __future__ import annotations
@@ -41,16 +41,15 @@ from .errors import (
 # namespace; it goes when the benchmark retires its det metrics.
 from .exact_linalg import det  # noqa: F401
 from .finite_field import FieldParams, FqElem
-from .laurent import LaurentPoly, add_into
+from .laurent import LaurentPoly
 
 
 #: sigma and tau as exponent pairs; the group law is addition of pairs mod p.
 SIGMA = (1, 0)
 TAU = (0, 1)
 
-#: An element of L on F_q codes: {i*p + j: {exponent: code}}, the
-#: coordinates of LElement.terms with each LaurentPoly as {e: c.code}.
-#: Only nonzero entries are held, and no coordinate is left empty.
+#: An element of L as LElement holds it, {i*p + j: {exponent: code}}:
+#: nonzero entries only, and no coordinate left empty.
 Codes = dict[int, dict[int, int]]
 
 #: Most terms g1 or g2 may have.  The oracle's cost grows with the square
@@ -150,21 +149,24 @@ def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
 
 
 class LElement:
-    """Element of L on the monomial basis alpha^i beta^j.
+    """Element of L on the monomial basis alpha^i beta^j, held only as
+    codes (see Codes); terms reads the coordinates back as LaurentPolys."""
 
-    terms holds the nonzero coordinates as (i*p + j, coefficient) pairs
-    sorted by index, the same shape as LaurentPoly.terms.
-    """
-
-    __slots__ = ("pair", "terms")
+    __slots__ = ("pair", "codes")
 
     def __init__(self, pair: ExtensionPair, coeffs: dict):
-        """coeffs: {index: coefficient}; zero coordinates are dropped here."""
-        items = sorted(coeffs.items())
-        if items and not (0 <= items[0][0] and items[-1][0] < pair.p ** 2):
-            raise InputError(f"coordinate index outside 0..{pair.p ** 2 - 1}")
+        """coeffs: {index: LaurentPoly}; zero coordinates are dropped here."""
+        field, n = pair.field, pair.p ** 2
+        codes: Codes = {}
+        for idx, f in coeffs.items():
+            if not 0 <= idx < n:
+                raise InputError(f"coordinate index outside 0..{n - 1}")
+            if f.field != field:
+                raise InputError("coordinate over another field")
+            if f.terms:
+                codes[idx] = {e: c.code for e, c in f.terms}
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "terms", tuple((i, c) for i, c in items if c))
+        object.__setattr__(self, "codes", codes)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LElement is immutable")
@@ -172,13 +174,19 @@ class LElement:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def from_codes(cls, pair: ExtensionPair, x: Codes) -> LElement:
+        """Wrap x, which must hold nonzero entries only and is not copied."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "pair", pair)
+        object.__setattr__(el, "codes", x)
+        return el
+
+    @classmethod
     def zero(cls, pair: ExtensionPair) -> LElement:
         return cls(pair, {})
 
     @classmethod
     def from_k(cls, pair: ExtensionPair, f: LaurentPoly) -> LElement:
-        if f.field != pair.field:
-            raise InputError("scalar over the wrong field")
         return cls(pair, {0: f})
 
     @classmethod
@@ -209,65 +217,64 @@ class LElement:
         return cls(pair, {pair.p: LaurentPoly.t_pow(pair.field, 0, pair.a),
                           1: LaurentPoly.one(pair.field)})
 
-    @classmethod
-    def from_codes(cls, pair: ExtensionPair, x: Codes) -> LElement:
-        """The element held as Codes by x; see codes()."""
-        return cls(pair, {idx: _poly(pair.field, row) for idx, row in x.items()})
-
-    def codes(self) -> Codes:
-        """This element on F_q codes, {index: {exponent: code}}."""
-        return {idx: {e: c.code for e, c in f.terms} for idx, f in self.terms}
-
     # -- structure -----------------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[tuple[int, LaurentPoly], ...]:
+        """The nonzero coordinates as (i*p + j, coefficient), by index."""
+        field = self.pair.field
+        return tuple((idx, _poly(field, row))
+                     for idx, row in sorted(self.codes.items()))
+
     def coeff(self, i: int, j: int) -> LaurentPoly:
-        return dict(self.terms).get(i * self.pair.p + j,
-                                    LaurentPoly.zero(self.pair.field))
+        return _poly(self.pair.field, self.codes.get(i * self.pair.p + j, {}))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.codes
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LElement):
             return NotImplemented
-        return self.pair == other.pair and self.terms == other.terms
+        return self.pair == other.pair and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash((self.pair, self.terms))
+        # codes fill in the order of operations, so the hash reads sets
+        return hash((self.pair, frozenset(
+            (idx, frozenset(row.items())) for idx, row in self.codes.items())))
 
     def _check(self, other: LElement) -> None:
         if self.pair != other.pair:
             raise MixedExtensions("elements of different extensions")
 
-    def __add__(self, other: LElement) -> LElement:
+    def _plus(self, k: int, other: LElement) -> LElement:
+        """self + g^k * other."""
         if not isinstance(other, LElement):
             return NotImplemented
         self._check(other)
-        acc = dict(self.terms)
-        for idx, c in other.terms:
-            add_into(acc, idx, c)
-        return LElement(self.pair, acc)
+        acc = {idx: dict(row) for idx, row in self.codes.items()}
+        add_scaled(self.pair.field, acc, k, other.codes)
+        return LElement.from_codes(self.pair, acc)
+
+    def __add__(self, other: LElement) -> LElement:
+        return self._plus(self.pair.field.one().code, other)
 
     def __neg__(self) -> LElement:
-        return LElement(self.pair, {idx: -c for idx, c in self.terms})
+        return LElement.zero(self.pair) - self
 
     def __sub__(self, other: LElement) -> LElement:
-        if not isinstance(other, LElement):
-            return NotImplemented
-        return self + (-other)
+        return self._plus((-self.pair.field.one()).code, other)
 
     def __mul__(self, other):
-        if isinstance(other, LElement):
-            self._check(other)
-            return LElement.from_codes(
-                self.pair, _mul(self.pair, self.codes(), other.codes()))
-        if isinstance(other, (LaurentPoly, FqElem, int)):
-            if not isinstance(other, LaurentPoly):
-                other = LaurentPoly.t_pow(self.pair.field, 0, other)
-            elif other.field != self.pair.field:
-                raise InputError("scalar over the wrong field")
-            return LElement(self.pair, {idx: c * other for idx, c in self.terms})
-        return NotImplemented
+        """Product in L; a scalar in F_q or K is multiplied as from_k."""
+        if isinstance(other, (FqElem, int)):
+            other = LaurentPoly.t_pow(self.pair.field, 0, other)
+        if isinstance(other, LaurentPoly):
+            other = LElement.from_k(self.pair, other)
+        if not isinstance(other, LElement):
+            return NotImplemented
+        self._check(other)
+        return LElement.from_codes(
+            self.pair, _mul(self.pair, self.codes, other.codes))
 
     __rmul__ = __mul__
 
@@ -295,7 +302,7 @@ class LElement:
         """
         pair = self.pair
         p, field = pair.p, pair.field
-        x = self.codes()
+        x = self.codes
         y = x
         for j in range(1, p):
             y = _mul(pair, y, act_on_terms(field, (0, j), x))
@@ -356,7 +363,7 @@ def act_on_terms(field: FieldParams, g: tuple[int, int], x: Codes) -> Codes:
 
 def act(g: tuple[int, int], x: LElement) -> LElement:
     """Apply sigma^i tau^j, g = (i, j): alpha -> alpha + j, beta -> beta + i."""
-    return LElement.from_codes(x.pair, act_on_terms(x.pair.field, g, x.codes()))
+    return LElement.from_codes(x.pair, act_on_terms(x.pair.field, g, x.codes))
 
 
 def binomial_basis(pair: ExtensionPair) -> tuple[list[LElement], list[LElement]]:

@@ -53,6 +53,8 @@ class LaurentPoly:
     @classmethod
     def t_pow(cls, field: FieldParams, e: int, coeff: FqElem | int = 1) -> LaurentPoly:
         c = field.elem(coeff) if isinstance(coeff, int) else coeff
+        if c.field != field:
+            raise InputError("coefficient over another field")
         return cls(field, [(e, c)])
 
     @classmethod
@@ -173,7 +175,7 @@ class LaurentPoly:
 def add_into(acc: dict, key, c) -> None:
     """acc[key] += c, storing c itself on a new key.  A sum that cancels
     stays behind as a zero entry, so the caller drops zeros once at the end
-    (the LaurentPoly and LElement constructors do)."""
+    (the LaurentPoly constructor does)."""
     acc[key] = acc[key] + c if key in acc else c
 
 

@@ -65,18 +65,6 @@ class Subgroup:
     def order(self) -> int:
         return self.p ** len(self.gens)
 
-    def elements(self) -> frozenset[tuple[int, int]]:
-        """Every element; the one place the span is enumerated."""
-        p = self.p
-        span = {(0, 0)}
-        for gi, gj in self.gens:
-            span = {((i + c * gi) % p, (j + c * gj) % p)
-                    for i, j in span for c in range(p)}
-        return frozenset(span)
-
-    def contains(self, el: tuple[int, int]) -> bool:
-        return Subgroup(self.p, (el,)).is_subset(self)
-
     def is_subset(self, other: Subgroup) -> bool:
         if self.p != other.p:
             raise InputError("subgroups of groups for different p")

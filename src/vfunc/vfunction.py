@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
 from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
-                                act, act_on_terms, add_scaled)
+                                act_on_terms, add_scaled)
 from .finite_field import FqElem
 from .laurent import INFINITY, LaurentPoly
 
@@ -83,9 +83,9 @@ def v_formula(pair: ExtensionPair) -> VResult:
     return VResult(value=_ceil_div(s, p * p), s=s, route="formula")
 
 
-def _condition_images(pair: ExtensionPair, m: Codes) -> tuple[Codes, Codes]:
-    """m (sigma - 1)^2 and m (tau - 1) - a * m (sigma - 1) for m on F_q
-    codes, as codes; both are empty exactly on solutions."""
+def _condition_images(pair: ExtensionPair, m: Codes) -> tuple[Codes, Codes, Codes]:
+    """m (sigma - 1)^2, m (tau - 1) - a * m (sigma - 1) and m (sigma - 1) for
+    m on F_q codes, as codes; the first two are empty exactly on solutions."""
     field = pair.field
     minus_one = (-field.one()).code
 
@@ -98,7 +98,7 @@ def _condition_images(pair: ExtensionPair, m: Codes) -> tuple[Codes, Codes]:
     ds = diff(SIGMA, m)
     second = diff(TAU, m)
     add_scaled(field, second, (-pair.a).code, ds)
-    return diff(SIGMA, ds), second
+    return diff(SIGMA, ds), second, ds
 
 
 def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
@@ -112,8 +112,8 @@ def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
     one = field.one().code
     rows: list[dict[int, FqElem]] = [{} for _ in range(2 * n)]
     for col in range(n):
-        images = _condition_images(pair, {col: {0: one}})
-        for offset, image in zip((0, n), images):
+        first, second, _ = _condition_images(pair, {col: {0: one}})
+        for offset, image in ((0, first), (n, second)):
             for idx, row in image.items():
                 rows[offset + idx][col] = field.from_code(row[0])
     return rows
@@ -129,13 +129,12 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     divisible by p^2) would break the lattice splitting and raises.
     """
     p = pair.p
-    field = pair.field
-    basis = kernel(field, theta_conditions_matrix(pair), p * p)
+    basis = kernel(pair.field, theta_conditions_matrix(pair), p * p)
     if len(basis) != 2:
         raise InternalCheckFailed(
             f"solution space has dimension {len(basis)}, expected 2")
-    m1, m2 = (LElement(pair, {idx: LaurentPoly.t_pow(field, 0, c)
-                              for idx, c in vec.items()}) for vec in basis)
+    m1, m2 = (LElement.from_codes(pair, {i: {0: c.code} for i, c in v.items()})
+              for v in basis)
     if m1 != LElement.one(pair):
         raise InternalCheckFailed("first echelon vector is not the constant 1")
     if not m2.coeff(0, 0).is_zero():
@@ -154,13 +153,14 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
 def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
     """Images (phi(x1), phi(x2)) of the equivariant map attached to m.
 
-    phi(x1) = act(sigma, m) - m and phi(x2) = m.  Raises NotInTheta when m
-    fails either defining condition, since only then is phi equivariant.
+    phi(x1) = m (sigma - 1), which the membership check computes, and
+    phi(x2) = m.  Raises NotInTheta when m fails either defining condition,
+    since only then is phi equivariant.
     """
-    first, second = _condition_images(m.pair, m.codes())
+    first, second, ds = _condition_images(m.pair, m.codes)
     if first or second:
         raise NotInTheta("element does not satisfy the defining conditions")
-    return act(SIGMA, m) - m, m
+    return LElement.from_codes(m.pair, ds), m
 
 
 def v_oracle(pair: ExtensionPair) -> VResult:

@@ -211,6 +211,66 @@ def test_only_nonzero_coordinates_are_stored(f9):
             LElement(pair, {idx: LaurentPoly.one(f9)})
 
 
+def test_coordinate_over_another_field_rejected(f4, f9):
+    """A coordinate or scalar over another field raises instead of having
+    its codes read in this field."""
+    pair = random_pair(f9, make_rng("foreign-coordinate"))
+    with pytest.raises(InputError):
+        LElement(pair, {0: LaurentPoly.t_pow(f4, -1, f4.gen())})
+    with pytest.raises(InputError):
+        LElement(pair, {4: LaurentPoly.zero(f4)})
+    x = LElement.alpha(pair)
+    for scalar in (f4.gen(), LaurentPoly.one(f4)):
+        with pytest.raises(InputError):
+            x * scalar
+        with pytest.raises(InputError):
+            scalar * x
+    with pytest.raises(InputError):
+        LElement.from_k(pair, LaurentPoly.one(f4))
+    with pytest.raises(InputError):
+        LElement.monomial(pair, 1, 1, f4.gen())
+
+
+def test_arithmetic_and_action_build_no_laurent(f9, monkeypatch):
+    """Elements are held on codes, so sums, products and the action on
+    existing elements never go through LaurentPoly."""
+    rng = make_rng("no-laurent")
+    pair = random_pair(f9, rng)
+    x, y = random_element(pair, rng), random_element(pair, rng)
+    built = []
+    init = LaurentPoly.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting)
+    results = [x + y, x - y, -x, x * y, act((1, 2), x), act(TAU, y)]
+    assert built == []
+    assert all(isinstance(r, LElement) for r in results)
+
+
+def test_equal_elements_hash_equal_across_operation_orders(f9):
+    """Codes fill in the order of the operations that built them, so
+    equal elements reached in different orders hold their entries in
+    different orders; equality and hash must not see it."""
+    rng = make_rng("order-free")
+    pair = random_pair(f9, rng)
+    x, y, z = (random_element(pair, rng) for _ in range(3))
+
+    def order(el):
+        return [(idx, list(row)) for idx, row in el.codes.items()]
+
+    cases = [((x + y) + z, x + (y + z)), (x + y, y + x), (x * y, y * x),
+             ((x - y) + y, x), (act(SIGMA, x + y), act(SIGMA, y) + act(SIGMA, x))]
+    for a, b in cases:
+        assert a == b and hash(a) == hash(b)
+        assert a.terms == b.terms
+    # the check above is only a check if some orders really differ
+    assert any(order(a) != order(b) for a, b in cases)
+    assert len({x + y, y + x, (x + y) + z, x + (y + z)}) == 2
+
+
 # -- ring structure ----------------------------------------------------------
 
 def test_defining_relations(f4, f9):

@@ -211,6 +211,16 @@ def test_mixed_field_arithmetic_rejected(f4, f9):
         LaurentPoly.one(f4) * f9.gen()
 
 
+def test_monomial_coefficient_over_another_field_rejected(f4, f9):
+    """t_pow takes no coefficient from another field: its code would be
+    read in this field's tables as some unrelated element."""
+    with pytest.raises(InputError):
+        LaurentPoly.t_pow(f9, 0, f4.gen())
+    with pytest.raises(InputError):
+        LaurentPoly.t_pow(f4, -1, f9.one())
+    assert LaurentPoly.t_pow(f9, 0, 4) == LaurentPoly.one(f9)
+
+
 def test_product_matches_term_by_term_reference(f4, f8, f9, f25):
     """The code-level product loop against sums of monomial products."""
     rng = make_rng("product-loop")

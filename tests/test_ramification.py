@@ -62,8 +62,9 @@ def test_subgroup_canonical_bases():
 def test_subgroup_orders_and_membership():
     s = Subgroup(3, ((1, 2),))
     assert s.order == 3
-    assert s.elements() == frozenset({(0, 0), (1, 2), (2, 1)})
-    assert s.contains((2, 1)) and not s.contains((1, 0))
+    assert span(3, s.gens) == {(0, 0), (1, 2), (2, 1)}
+    assert Subgroup(3, ((2, 1),)).is_subset(s)
+    assert not Subgroup(3, ((1, 0),)).is_subset(s)
     assert Subgroup.full(3).order == 9
     assert Subgroup.trivial(3).order == 1
     assert s.is_subset(Subgroup.full(3))
@@ -80,23 +81,27 @@ def test_subgroup_intersections():
 
 def test_subgroup_operations_match_element_sets():
     """Against the enumerated span, for every generator list of length
-    0-2: elements, order, membership, inclusion and intersection."""
+    0-2: the canonical basis spans the same elements, and order,
+    membership (inclusion of the element's span), inclusion and
+    intersection follow."""
     for p in (2, 3, 5, 7):
         group = list(itertools.product(range(p), repeat=2))
         subs = {}
         for k in range(3):
             for gens in itertools.product(group, repeat=k):
                 sub = Subgroup(p, gens)
-                assert sub.elements() == span(p, gens), (p, gens)
+                assert span(p, sub.gens) == span(p, gens), (p, gens)
                 subs[sub] = span(p, gens)
         assert len(subs) == p + 3
         for sub, ref in subs.items():
             assert sub.order == len(ref)
             for i, j in itertools.product(range(-1, p + 1), repeat=2):
-                assert sub.contains((i, j)) == ((i % p, j % p) in ref)
+                assert Subgroup(p, ((i, j),)).is_subset(sub) == (
+                    (i % p, j % p) in ref)
             for other, other_ref in subs.items():
                 assert sub.is_subset(other) == (ref <= other_ref)
-                assert sub.intersect(other).elements() == ref & other_ref
+                assert span(p, sub.intersect(other).gens) == \
+                    ref & other_ref
 
 
 # -- lines -------------------------------------------------------------------

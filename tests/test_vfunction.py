@@ -200,6 +200,30 @@ def test_map_images_basic(f4):
     assert x1_img == one and x2_img == g
 
 
+def test_map_reuses_the_membership_check(f9, monkeypatch):
+    """theta_to_xi applies the group three times, all for the membership
+    check, and returns the check's m (sigma - 1) as phi(x1) rather than
+    acting a fourth time."""
+    import vfunc.extension_algebra
+    import vfunc.vfunction
+    pair = random_pair(f9, make_rng("map-act-count"), -10)
+    m = theta_lattice(pair).m2
+    calls = []
+    real = vfunc.extension_algebra.act_on_terms
+
+    def counting(field, g, x):
+        calls.append(g)
+        return real(field, g, x)
+
+    for module in (vfunc.extension_algebra, vfunc.vfunction):
+        monkeypatch.setattr(module, "act_on_terms", counting)
+    x1_img, x2_img = theta_to_xi(m)
+    assert len(calls) == 3
+    assert x2_img == m
+    monkeypatch.undo()
+    assert x1_img == act(SIGMA, m) - m
+
+
 def test_map_rejects_non_solutions(f4):
     w = f4.gen()
     pair = validate_pair(f4, w, series(f4, (-3, 1)),
