@@ -19,6 +19,11 @@ monomial to an F_p-combination of monomials and a is a constant, so the
 conditions are written once, on elements held as F_q codes: on the basis
 monomials they give the 2p^2 x p^2 matrix that
 exact_linalg.kernel solves, and on elements of L they check the images.
+The action on a monomial never folds by the defining relations, so the
+matrix and its solution depend on (field, a) alone, never on g1 or g2.
+The solve is therefore done once per (field, a) per process and kept in
+a bounded cache; the valuations, the lattice scaling and the membership
+checks of the images are still computed for each pair.
 
 The two routes share no code beyond the base arithmetic, so their
 agreement on random pairs is a strong correctness signal for both.
@@ -27,12 +32,13 @@ agreement on random pairs is a strong correctness signal for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
 from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
                                 act_on_terms, add_scaled)
-from .finite_field import FqElem
+from .finite_field import MAX_Q, FieldParams, FqElem
 from .laurent import INFINITY, LaurentPoly
 
 
@@ -83,10 +89,10 @@ def v_formula(pair: ExtensionPair) -> VResult:
     return VResult(value=_ceil_div(s, p * p), s=s, route="formula")
 
 
-def _condition_images(pair: ExtensionPair, m: Codes) -> tuple[Codes, Codes, Codes]:
+def _condition_images(field: FieldParams, a: FqElem,
+                      m: Codes) -> tuple[Codes, Codes, Codes]:
     """m (sigma - 1)^2, m (tau - 1) - a * m (sigma - 1) and m (sigma - 1) for
     m on F_q codes, as codes; the first two are empty exactly on solutions."""
-    field = pair.field
     minus_one = (-field.one()).code
 
     def diff(g: tuple[int, int], y: Codes) -> Codes:
@@ -97,8 +103,21 @@ def _condition_images(pair: ExtensionPair, m: Codes) -> tuple[Codes, Codes, Code
 
     ds = diff(SIGMA, m)
     second = diff(TAU, m)
-    add_scaled(field, second, (-pair.a).code, ds)
+    add_scaled(field, second, (-a).code, ds)
     return diff(SIGMA, ds), second, ds
+
+
+def _conditions_matrix(field: FieldParams,
+                       a: FqElem) -> list[dict[int, FqElem]]:
+    n = field.p ** 2
+    one = field.one().code
+    rows: list[dict[int, FqElem]] = [{} for _ in range(2 * n)]
+    for col in range(n):
+        first, second, _ = _condition_images(field, a, {col: {0: one}})
+        for offset, image in ((0, first), (n, second)):
+            for idx, row in image.items():
+                rows[offset + idx][col] = field.from_code(row[0])
+    return rows
 
 
 def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
@@ -106,17 +125,34 @@ def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
     F_q, as {column: nonzero entry} rows: column idx holds the images of
     the monomial with index idx and coefficient 1, the first condition
     above the second.  The action and the scaling by a keep coefficients
-    constant, so every image coordinate is a row {0: code}."""
-    n = pair.p ** 2
-    field = pair.field
-    one = field.one().code
-    rows: list[dict[int, FqElem]] = [{} for _ in range(2 * n)]
-    for col in range(n):
-        first, second, _ = _condition_images(pair, {col: {0: one}})
-        for offset, image in ((0, first), (n, second)):
-            for idx, row in image.items():
-                rows[offset + idx][col] = field.from_code(row[0])
-    return rows
+    constant, so every image coordinate is a row {0: code}.  Only
+    pair.field and pair.a enter."""
+    return _conditions_matrix(pair.field, pair.a)
+
+
+#: An echelon basis vector of the solution space as (index, code) pairs of
+#: its nonzero constant coordinates, in the order kernel gives them.
+SolutionVector = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=MAX_Q)
+def _theta_solution(field: FieldParams,
+                    a: FqElem) -> tuple[SolutionVector, SolutionVector]:
+    """Echelon basis (m1, m2) of the solutions of both conditions for one
+    (field, a), checked: the space has dimension 2, m1 is the constant 1
+    and m2 has no constant part.  Solved on first use and kept; a takes
+    fewer than q <= MAX_Q values per field, so one field's values all fit.
+    The tuples are immutable, so no caller can alter a kept solution."""
+    basis = kernel(field, _conditions_matrix(field, a), field.p ** 2)
+    if len(basis) != 2:
+        raise InternalCheckFailed(
+            f"solution space has dimension {len(basis)}, expected 2")
+    m1, m2 = (tuple((i, c.code) for i, c in v.items()) for v in basis)
+    if m1 != ((0, field.one().code),):
+        raise InternalCheckFailed("first echelon vector is not the constant 1")
+    if any(i == 0 for i, _ in m2):
+        raise InternalCheckFailed("second echelon vector has a constant part")
+    return m1, m2
 
 
 def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
@@ -124,21 +160,16 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
 
     The kernel is echelonized with the constant coordinate first, so the
     first basis vector is the constant 1 and the second has zero constant
-    coordinate.  The second generator's scaling exponent is e2 =
-    ceil(s'/p^2) with s' = -v_L(m2); s' off the allowed residues (that is,
-    divisible by p^2) would break the lattice splitting and raises.
+    coordinate.  The solve depends on (field, a) only and is done once per
+    process (_theta_solution); each call wraps fresh copies of the kept
+    vectors.  The second generator's scaling exponent is e2 =
+    ceil(s'/p^2) with s' = -v_L(m2), measured for each pair; s' off the
+    allowed residues (that is, divisible by p^2) would break the lattice
+    splitting and raises.
     """
     p = pair.p
-    basis = kernel(pair.field, theta_conditions_matrix(pair), p * p)
-    if len(basis) != 2:
-        raise InternalCheckFailed(
-            f"solution space has dimension {len(basis)}, expected 2")
-    m1, m2 = (LElement.from_codes(pair, {i: {0: c.code} for i, c in v.items()})
-              for v in basis)
-    if m1 != LElement.one(pair):
-        raise InternalCheckFailed("first echelon vector is not the constant 1")
-    if not m2.coeff(0, 0).is_zero():
-        raise InternalCheckFailed("second echelon vector has a constant part")
+    m1, m2 = (LElement.from_codes(pair, {i: {0: c} for i, c in v})
+              for v in _theta_solution(pair.field, pair.a))
     val = m2.valuation()
     if val == INFINITY:
         raise InternalCheckFailed("second echelon vector is zero")
@@ -155,9 +186,10 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
 
     phi(x1) = m (sigma - 1), which the membership check computes, and
     phi(x2) = m.  Raises NotInTheta when m fails either defining condition,
-    since only then is phi equivariant.
+    since only then is phi equivariant.  v_oracle runs this check on the
+    lattice basis of every pair, so it also guards the kept solutions.
     """
-    first, second, ds = _condition_images(m.pair, m.codes)
+    first, second, ds = _condition_images(m.pair.field, m.pair.a, m.codes)
     if first or second:
         raise NotInTheta("element does not satisfy the defining conditions")
     return LElement.from_codes(m.pair, ds), m

@@ -17,6 +17,7 @@ from vfunc.extension_algebra import (
 )
 from vfunc.finite_field import FieldParams, FqElem
 from vfunc.vfunction import (
+    _theta_solution,
     theta_conditions_matrix,
     theta_lattice,
     theta_to_xi,
@@ -25,9 +26,11 @@ from vfunc.vfunction import (
 )
 
 from conftest import (
+    capped_draw,
     conditions_matrix_in_L,
     fq_matvec,
     make_rng,
+    random_j_poly,
     random_laurent,
     random_pair,
 )
@@ -184,6 +187,106 @@ def test_lattice_s_prime_avoids_p_squared_multiples(f4, f9):
             tb = theta_lattice(pair)
             assert tb.s_prime % field.p ** 2 != 0
             assert tb.s_prime > 0
+
+
+# -- the solve, kept per (field, a) -------------------------------------------
+
+def pair_with_a(field, a, rng, min_exp=-10):
+    """Random valid pair with the given action parameter."""
+    return capped_draw(lambda: validate_pair(
+        field, a, random_j_poly(field, rng, min_exp),
+        random_j_poly(field, rng, min_exp)))
+
+
+def test_kept_solve_equals_a_direct_solve(f9):
+    """Two pairs with one (field, a) but different g1 and g2 get the echelon
+    vectors of kernel on the conditions matrix, with the cache cold and
+    then warm, and share one solve."""
+    from vfunc.exact_linalg import kernel
+    rng = make_rng("kept-solve")
+    first = random_pair(f9, rng, -10)
+    second = pair_with_a(f9, first.a, rng)
+    assert (first.g1, first.g2) != (second.g1, second.g2)
+
+    def direct(pair):
+        basis = kernel(pair.field, theta_conditions_matrix(pair), pair.p ** 2)
+        return [LElement.from_codes(pair, {i: {0: c.code}
+                                           for i, c in v.items()})
+                for v in basis]
+
+    for _ in range(2):
+        for pair in (first, second):
+            tb = theta_lattice(pair)
+            assert [tb.m1, tb.m2] == direct(pair)
+    info = _theta_solution.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_fields_sharing_a_texts_keep_separate_solutions(f25):
+    """F_25 under x^2 + 3 and under x^2 + 2, interleaved in one process with
+    the same a texts: formula = oracle on every pair, and each (field, a)
+    is its own entry, even where two fields give a the same code."""
+    other = FieldParams(5, 2, (2, 0, 1))
+    texts = ("0,1", "0,2", "0,3")
+    assert f25.parse("0,2").code == other.parse("0,1").code
+    assert f25.parse("0,1").code == other.parse("0,3").code
+    rng = make_rng("two-moduli")
+    for text in texts * 2:
+        for field in (f25, other):
+            pair = pair_with_a(field, field.parse(text), rng, -8)
+            rf, ro = v_formula(pair), v_oracle(pair)
+            assert (rf.value, rf.s) == (ro.value, ro.s)
+    info = _theta_solution.cache_info()
+    assert info.misses == info.currsize == 2 * len(texts)
+
+
+def test_kept_solution_is_out_of_callers_reach(f9):
+    """Mutating the lattice basis one call returns leaves the next call's
+    basis as it was."""
+    pair = random_pair(f9, make_rng("kept-copy"), -10)
+    tb = theta_lattice(pair)
+    m1 = {i: dict(row) for i, row in tb.m1.codes.items()}
+    m2 = {i: dict(row) for i, row in tb.m2.codes.items()}
+    for row in tb.m2.codes.values():
+        row[0] = (row[0] + 1) % (f9.q - 1)
+        row[1] = 0
+    tb.m2.codes[3] = {0: 0}
+    tb.m1.codes.clear()
+    again = theta_lattice(pair)
+    assert again.m1.codes == m1 and again.m2.codes == m2
+    assert (again.e2, again.s_prime) == (tb.e2, tb.s_prime)
+
+
+def counting_kernel(monkeypatch):
+    """Record the field of every kernel call the oracle makes."""
+    import vfunc.vfunction
+    calls = []
+    real = vfunc.vfunction.kernel
+
+    def counted(field, rows, ncols):
+        calls.append(field)
+        return real(field, rows, ncols)
+
+    monkeypatch.setattr(vfunc.vfunction, "kernel", counted)
+    return calls
+
+
+def test_sweep_solves_once_per_a(capsys, monkeypatch):
+    from vfunc import cli
+    calls = counting_kernel(monkeypatch)
+    assert cli.main(["sweep", "--p", "3", "--n", "2", "--max-degree", "10",
+                     "--seed", "1", "--count", "16"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17
+    jobs = cli._sweep_jobs(FieldParams(3, 2), 1, 16, 10)
+    assert len(calls) == len({a for a, _, _ in jobs}) < 16
+
+
+def test_counterexample_solves_once(capsys, monkeypatch):
+    from vfunc import cli
+    calls = counting_kernel(monkeypatch)
+    assert cli.main(["counterexample", "--p", "5", "--n", "2"]) == 0
+    assert '"v_constant": false' in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 # -- the equivariant map -----------------------------------------------------
