@@ -6,10 +6,11 @@ norms in L are products of Galois conjugates, and det is the tests'
 reference for them.
 
 kernel(field, rows, ncols) solves a matrix over F_q given as sparse
-{column: FqElem} rows, the form of the θ conditions matrix (2p^2 x p^2, a
-few percent nonzero).  Its elimination runs on the codes of the entries
-(FqElem.code) through FieldParams.normalized_row and
-FieldParams.sub_scaled_row, so work and memory follow the nonzeros.
+{column: FqElem} rows, the form of the θ conditions: the oracle solves
+the p^2 x p^2 block of the first, then the second on its 2p solutions.
+Its elimination runs on the codes of the entries (FqElem.code) through
+FieldParams.normalized_row and FieldParams.sub_scaled_row, so work and
+memory follow the nonzeros.
 """
 
 from __future__ import annotations
@@ -77,10 +78,16 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
     The matrix is brought to reduced row echelon form with columns in
     natural order.  Each free column f gives one basis vector: coordinate f
     is 1, the other free coordinates are 0, and each pivot coordinate holds
-    the negated echelon entry in column f.  The pivot for column c is the
-    first row at or below the echelon position with a nonzero entry there;
-    reduced echelon form is unique, so the basis does not depend on that
-    choice.
+    the negated echelon entry in column f.
+
+    Empty rows are dropped up front, and the rows are indexed by column,
+    so a step reads only the rows with an entry in its column.  Forward
+    elimination takes as the pivot for column c the first row not yet
+    pivoted with a nonzero entry there, and clears column c from the
+    other such rows; back substitution then clears each pivot column from
+    the pivot rows above it, last pivot first, when the pivot row holds
+    only free columns besides its own.  Reduced echelon form is unique, so
+    the basis depends on neither choice.
     """
     R = []
     for row in rows:
@@ -92,26 +99,44 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
                     and 0 <= j < ncols):
                 raise InputError(f"column {j!r}: {x!r} is not a nonzero "
                                  f"field element in 0..{ncols - 1}")
-        R.append({j: x.code for j, x in row.items()})
-    pivots: list[int] = []
+        if row:
+            R.append({j: x.code for j, x in row.items()})
+    # where[c]: the indices of the rows with an entry in column c
+    where: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(R):
+        for j in row:
+            where[j].add(i)
+
+    def clear(i: int, c: int, pivot: dict[int, int]) -> None:
+        """Subtract from row i the multiple of pivot that clears column c."""
+        row = R[i]
+        field.sub_scaled_row(row, row[c], pivot)
+        for j in pivot:
+            if j in row:
+                where[j].add(i)
+            else:
+                where[j].discard(i)
+
+    pivot_col: dict[int, int] = {}   # pivot row index -> its column
     for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(R)) if c in R[i]), None)
+        pr = min((i for i in where[c] if i not in pivot_col), default=None)
         if pr is None:
             continue
-        R[r], R[pr] = R[pr], R[r]
-        pivot = R[r] = field.normalized_row(R[r], c)
-        for i, row in enumerate(R):
-            if i != r and c in row:
-                field.sub_scaled_row(row, row[c], pivot)
-        pivots.append(c)
+        pivot = R[pr] = field.normalized_row(R[pr], c)
+        pivot_col[pr] = c
+        for i in [i for i in where[c] if i not in pivot_col]:
+            clear(i, c, pivot)
+    for pr, c in reversed(pivot_col.items()):
+        for i in [i for i in where[c] if i != pr]:
+            clear(i, c, R[pr])
+    pivots = set(pivot_col.values())
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         vec = {f: field.one()}
-        for row, c in zip(R, pivots):
-            if f in row:
-                vec[c] = -field.from_code(row[f])
+        # only pivot rows are left nonempty; their columns are distinct
+        for c, i in sorted((pivot_col[i], i) for i in where[f]):
+            vec[c] = -field.from_code(R[i][f])
         basis.append(vec)
     return basis

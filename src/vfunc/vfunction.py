@@ -17,13 +17,20 @@ of the solution space into the integral lattice, and reads v off the
 extension valuation of a 2x2 determinant of images.  The group sends a
 monomial to an F_p-combination of monomials and a is a constant, so the
 conditions are written once, on elements held as F_q codes: on the basis
-monomials they give the 2p^2 x p^2 matrix that
-exact_linalg.kernel solves, and on elements of L they check the images.
-The action on a monomial never folds by the defining relations, so the
-matrix and its solution depend on (field, a) alone, never on g1 or g2.
-The solve is therefore done once per (field, a) per process and kept in
-a bounded cache; the valuations, the lattice scaling and the membership
-checks of the images are still computed for each pair.
+monomials they give the 2p^2 x p^2 matrix theta_conditions_matrix, and on
+elements of L they check the images.  The action on a monomial never
+folds by the defining relations, so the solution depends on (field, a)
+alone, never on g1 or g2, and it is found in two stages, each solved by
+exact_linalg.kernel and kept in a bounded cache:
+
+1. m (sigma - 1)^2 = 0 does not read a.  Its p^2 x p^2 block is solved
+   once per field; the 2p basis vectors are kept with their images
+   m (sigma - 1) and m (tau - 1).
+2. m (tau - 1) - a * m (sigma - 1) = 0 on those vectors is a matrix with
+   2p columns, solved once per (field, a).
+
+The valuations, the lattice scaling and the membership checks of the
+images are still computed for each pair.
 
 The two routes share no code beyond the base arithmetic, so their
 agreement on random pairs is a strong correctness signal for both.
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
@@ -89,10 +97,9 @@ def v_formula(pair: ExtensionPair) -> VResult:
     return VResult(value=_ceil_div(s, p * p), s=s, route="formula")
 
 
-def _condition_images(field: FieldParams, a: FqElem,
-                      m: Codes) -> tuple[Codes, Codes, Codes]:
-    """m (sigma - 1)^2, m (tau - 1) - a * m (sigma - 1) and m (sigma - 1) for
-    m on F_q codes, as codes; the first two are empty exactly on solutions."""
+def _differences(field: FieldParams, m: Codes) -> tuple[Codes, Codes, Codes]:
+    """m (sigma - 1), m (sigma - 1)^2 and m (tau - 1) for m on F_q codes, as
+    codes; a does not enter."""
     minus_one = (-field.one()).code
 
     def diff(g: tuple[int, int], y: Codes) -> Codes:
@@ -101,22 +108,33 @@ def _condition_images(field: FieldParams, a: FqElem,
         add_scaled(field, out, minus_one, y)
         return out
 
+    # m (sigma - 1)^2 = m (sigma^2 - 1) - 2 m (sigma - 1), with sigma^2 =
+    # (2, 0): acting on m rather than on the denser m (sigma - 1) keeps
+    # the cost on a monomial O(p)
     ds = diff(SIGMA, m)
-    second = diff(TAU, m)
+    dds = diff((2, 0), m)
+    add_scaled(field, dds, minus_one, ds)
+    add_scaled(field, dds, minus_one, ds)
+    return ds, dds, diff(TAU, m)
+
+
+def _condition_images(field: FieldParams, a: FqElem,
+                      m: Codes) -> tuple[Codes, Codes, Codes]:
+    """m (sigma - 1)^2, m (tau - 1) - a * m (sigma - 1) and m (sigma - 1) for
+    m on F_q codes, as codes; the first two are empty exactly on solutions."""
+    ds, first, second = _differences(field, m)
     add_scaled(field, second, (-a).code, ds)
-    return diff(SIGMA, ds), second, ds
+    return first, second, ds
 
 
-def _conditions_matrix(field: FieldParams,
-                       a: FqElem) -> list[dict[int, FqElem]]:
-    n = field.p ** 2
-    one = field.one().code
-    rows: list[dict[int, FqElem]] = [{} for _ in range(2 * n)]
-    for col in range(n):
-        first, second, _ = _condition_images(field, a, {col: {0: one}})
-        for offset, image in ((0, first), (n, second)):
-            for idx, row in image.items():
-                rows[offset + idx][col] = field.from_code(row[0])
+def _matrix(field: FieldParams, nrows: int,
+            columns: Iterable[Codes]) -> list[dict[int, FqElem]]:
+    """{column: nonzero entry} rows of the matrix whose k-th column is the
+    k-th of columns, each an element with constant coordinates on codes."""
+    rows: list[dict[int, FqElem]] = [{} for _ in range(nrows)]
+    for k, column in enumerate(columns):
+        for idx, row in column.items():
+            rows[idx][k] = field.from_code(row[0])
     return rows
 
 
@@ -127,27 +145,87 @@ def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
     above the second.  The action and the scaling by a keep coefficients
     constant, so every image coordinate is a row {0: code}.  Only
     pair.field and pair.a enter."""
-    return _conditions_matrix(pair.field, pair.a)
+    field, n = pair.field, pair.p ** 2
+    one = field.one().code
+
+    def column(col: int) -> Codes:
+        first, second, _ = _condition_images(field, pair.a, {col: {0: one}})
+        first.update((n + idx, row) for idx, row in second.items())
+        return first
+
+    return _matrix(field, 2 * n, map(column, range(n)))
 
 
-#: An echelon basis vector of the solution space as (index, code) pairs of
-#: its nonzero constant coordinates, in the order kernel gives them.
-SolutionVector = tuple[tuple[int, int], ...]
+#: A vector over F_q on the monomial basis as (index, code) pairs of its
+#: nonzero constant coordinates, in the order it was built.
+Vector = tuple[tuple[int, int], ...]
+
+
+def _vector(x: Codes) -> Vector:
+    return tuple((i, row[0]) for i, row in x.items())
+
+
+def _codes(v: Vector) -> Codes:
+    return {i: {0: c} for i, c in v}
+
+
+@lru_cache(maxsize=64)
+def _first_condition(
+        field: FieldParams) -> tuple[tuple[Vector, Vector, Vector], ...]:
+    """Echelon basis of the solutions of m (sigma - 1)^2 = 0, each vector v
+    with its images v (sigma - 1) and v (tau - 1).
+
+    The condition does not read a, so its p^2 x p^2 block is solved once
+    per field and kept: the basis holds 2p vectors, so this is O(p^2)
+    codes, not the images of all p^2 monomials.  The tuples are immutable,
+    so no caller can alter a kept vector.
+    """
+    n = field.p ** 2
+    one = field.one().code
+    rows = _matrix(field, n, (_differences(field, {col: {0: one}})[1]
+                              for col in range(n)))
+    out = []
+    for v in kernel(field, rows, n):
+        m = {i: {0: c.code} for i, c in v.items()}
+        ds, _, dt = _differences(field, m)
+        out.append((_vector(m), _vector(ds), _vector(dt)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=MAX_Q)
-def _theta_solution(field: FieldParams,
-                    a: FqElem) -> tuple[SolutionVector, SolutionVector]:
+def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
     """Echelon basis (m1, m2) of the solutions of both conditions for one
     (field, a), checked: the space has dimension 2, m1 is the constant 1
-    and m2 has no constant part.  Solved on first use and kept; a takes
-    fewer than q <= MAX_Q values per field, so one field's values all fit.
-    The tuples are immutable, so no caller can alter a kept solution."""
-    basis = kernel(field, _conditions_matrix(field, a), field.p ** 2)
+    and m2 has no constant part.
+
+    On the kept basis v_k of the first condition (_first_condition) the
+    second is the matrix of v_k (tau - 1) - a * v_k (sigma - 1), with one
+    column per v_k; kernel solves it and each solution c maps back to
+    sum c_k v_k.  The v_k are unit vectors in index order, so the map back
+    relabels columns and keeps the reduced echelon form of the full
+    conditions matrix.  Solved on first use and kept; a takes fewer than
+    q <= MAX_Q values per field, so one field's values all fit.
+    """
+    minus_a = (-a).code
+    first = _first_condition(field)
+
+    def column(ds: Vector, dt: Vector) -> Codes:
+        image = _codes(dt)
+        add_scaled(field, image, minus_a, _codes(ds))
+        return image
+
+    rows = _matrix(field, field.p ** 2,
+                   (column(ds, dt) for _, ds, dt in first))
+    basis = []
+    for c in kernel(field, rows, len(first)):
+        m: Codes = {}
+        for k, x in c.items():
+            add_scaled(field, m, x.code, _codes(first[k][0]))
+        basis.append(_vector(m))
     if len(basis) != 2:
         raise InternalCheckFailed(
             f"solution space has dimension {len(basis)}, expected 2")
-    m1, m2 = (tuple((i, c.code) for i, c in v.items()) for v in basis)
+    m1, m2 = basis
     if m1 != ((0, field.one().code),):
         raise InternalCheckFailed("first echelon vector is not the constant 1")
     if any(i == 0 for i, _ in m2):
@@ -168,7 +246,7 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     splitting and raises.
     """
     p = pair.p
-    m1, m2 = (LElement.from_codes(pair, {i: {0: c} for i, c in v})
+    m1, m2 = (LElement.from_codes(pair, _codes(v))
               for v in _theta_solution(pair.field, pair.a))
     val = m2.valuation()
     if val == INFINITY:

@@ -15,13 +15,14 @@ from vfunc.extension_algebra import (
 )
 from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import LaurentPoly, add_into
-from vfunc.vfunction import _theta_solution
+from vfunc.vfunction import _first_condition, _theta_solution
 
 
 @pytest.fixture(autouse=True)
 def cold_theta_cache():
-    """Start every test with no kept θ solutions, so that no result or
-    call count depends on which tests ran before."""
+    """Start every test with no kept θ solutions of either stage, so that
+    no result or call count depends on which tests ran before."""
+    _first_condition.cache_clear()
     _theta_solution.cache_clear()
 
 

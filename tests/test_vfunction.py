@@ -8,6 +8,7 @@ from vfunc import (
     LaurentPoly,
     NotInTheta,
 )
+from vfunc.exact_linalg import kernel
 from vfunc.extension_algebra import (
     SIGMA,
     TAU,
@@ -17,6 +18,7 @@ from vfunc.extension_algebra import (
 )
 from vfunc.finite_field import FieldParams, FqElem
 from vfunc.vfunction import (
+    _first_condition,
     _theta_solution,
     theta_conditions_matrix,
     theta_lattice,
@@ -136,7 +138,6 @@ def test_constant_and_pairing_element_solve_conditions(f4, f9):
 
 
 def test_solution_space_has_dimension_two(f4, f9):
-    from vfunc.exact_linalg import kernel
     for field, reps in ((f4, 5), (f9, 3)):
         rng = make_rng(f"kerneldim-{field.p}")
         for _ in range(reps):
@@ -147,7 +148,6 @@ def test_solution_space_has_dimension_two(f4, f9):
 
 def test_conditions_solve_builds_no_laurent_or_L_elements(f9, monkeypatch):
     """The conditions matrix and its kernel are pure F_q work."""
-    from vfunc.exact_linalg import kernel
     pair = random_pair(f9, make_rng("pure-fq"), -10)
     built = []
 
@@ -189,7 +189,7 @@ def test_lattice_s_prime_avoids_p_squared_multiples(f4, f9):
             assert tb.s_prime > 0
 
 
-# -- the solve, kept per (field, a) -------------------------------------------
+# -- the solve, kept per field and per (field, a) ----------------------------
 
 def pair_with_a(field, a, rng, min_exp=-10):
     """Random valid pair with the given action parameter."""
@@ -198,28 +198,47 @@ def pair_with_a(field, a, rng, min_exp=-10):
         random_j_poly(field, rng, min_exp)))
 
 
+def direct_solve(pair):
+    """Echelon basis of kernel on the full conditions matrix, as elements
+    of L."""
+    basis = kernel(pair.field, theta_conditions_matrix(pair), pair.p ** 2)
+    return [LElement.from_codes(pair, {i: {0: c.code} for i, c in v.items()})
+            for v in basis]
+
+
 def test_kept_solve_equals_a_direct_solve(f9):
     """Two pairs with one (field, a) but different g1 and g2 get the echelon
     vectors of kernel on the conditions matrix, with the cache cold and
     then warm, and share one solve."""
-    from vfunc.exact_linalg import kernel
     rng = make_rng("kept-solve")
     first = random_pair(f9, rng, -10)
     second = pair_with_a(f9, first.a, rng)
     assert (first.g1, first.g2) != (second.g1, second.g2)
 
-    def direct(pair):
-        basis = kernel(pair.field, theta_conditions_matrix(pair), pair.p ** 2)
-        return [LElement.from_codes(pair, {i: {0: c.code}
-                                           for i, c in v.items()})
-                for v in basis]
-
     for _ in range(2):
         for pair in (first, second):
             tb = theta_lattice(pair)
-            assert [tb.m1, tb.m2] == direct(pair)
+            assert [tb.m1, tb.m2] == direct_solve(pair)
     info = _theta_solution.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+    assert _first_condition.cache_info().misses == 1
+
+
+def test_two_stage_solve_equals_the_full_solve_for_every_a(f4, f8, f9,
+                                                            f25):
+    """For every a outside F_p of five fields, the lattice basis equals the
+    echelon basis of kernel on the full 2p^2 x p^2 conditions matrix, with
+    one first-condition solve per field."""
+    f27 = FieldParams(3, 3, (1, 2, 0, 1))
+    rng = make_rng("two-stage")
+    for field in (f4, f8, f9, f25, f27):
+        for a in field.elements():
+            if a.is_in_prime_field():
+                continue
+            pair = pair_with_a(field, a, rng, -8)
+            tb = theta_lattice(pair)
+            assert [tb.m1, tb.m2] == direct_solve(pair)
+    assert _first_condition.cache_info().misses == 5
 
 
 def test_fields_sharing_a_texts_keep_separate_solutions(f25):
@@ -238,6 +257,8 @@ def test_fields_sharing_a_texts_keep_separate_solutions(f25):
             assert (rf.value, rf.s) == (ro.value, ro.s)
     info = _theta_solution.cache_info()
     assert info.misses == info.currsize == 2 * len(texts)
+    info = _first_condition.cache_info()
+    assert info.misses == info.currsize == 2
 
 
 def test_kept_solution_is_out_of_callers_reach(f9):
@@ -257,14 +278,37 @@ def test_kept_solution_is_out_of_callers_reach(f9):
     assert (again.e2, again.s_prime) == (tb.e2, tb.s_prime)
 
 
+def test_kept_first_condition_is_out_of_callers_reach(f9):
+    """Mutating a returned lattice basis leaves the kept first-condition
+    vectors and images as a fresh solve gives them, and another a still
+    solves as the full matrix does."""
+    rng = make_rng("kept-first")
+    pair = random_pair(f9, rng, -10)
+    tb = theta_lattice(pair)
+    for x in (tb.m1, tb.m2):
+        for row in x.codes.values():
+            row[0] = (row[0] + 1) % (f9.q - 1)
+        x.codes[4] = {0: 0}
+    other = pair_with_a(f9, next(a for a in f9.elements()
+                                 if not a.is_in_prime_field()
+                                 and a != pair.a), rng)
+    tb = theta_lattice(other)
+    assert [tb.m1, tb.m2] == direct_solve(other)
+    kept = _first_condition(f9)
+    assert _first_condition.cache_info().misses == 1
+    _first_condition.cache_clear()
+    assert _first_condition(f9) == kept
+
+
 def counting_kernel(monkeypatch):
-    """Record the field of every kernel call the oracle makes."""
+    """Record the field and the column count of every kernel call the
+    oracle makes."""
     import vfunc.vfunction
     calls = []
     real = vfunc.vfunction.kernel
 
     def counted(field, rows, ncols):
-        calls.append(field)
+        calls.append((field, ncols))
         return real(field, rows, ncols)
 
     monkeypatch.setattr(vfunc.vfunction, "kernel", counted)
@@ -277,8 +321,12 @@ def test_sweep_solves_once_per_a(capsys, monkeypatch):
     assert cli.main(["sweep", "--p", "3", "--n", "2", "--max-degree", "10",
                      "--seed", "1", "--count", "16"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 17
-    jobs = cli._sweep_jobs(FieldParams(3, 2), 1, 16, 10)
-    assert len(calls) == len({a for a, _, _ in jobs}) < 16
+    field = FieldParams(3, 2)
+    jobs = cli._sweep_jobs(field, 1, 16, 10)
+    n_a = len({a for a, _, _ in jobs})
+    # the first condition once for the field, the second once per a
+    assert calls == [(field, 9)] + [(field, 6)] * n_a
+    assert n_a < 16
 
 
 def test_counterexample_solves_once(capsys, monkeypatch):
@@ -286,7 +334,7 @@ def test_counterexample_solves_once(capsys, monkeypatch):
     calls = counting_kernel(monkeypatch)
     assert cli.main(["counterexample", "--p", "5", "--n", "2"]) == 0
     assert '"v_constant": false' in capsys.readouterr().out
-    assert len(calls) == 1
+    assert [ncols for _, ncols in calls] == [25, 10]
 
 
 # -- the equivariant map -----------------------------------------------------
