@@ -8,9 +8,9 @@ reference for them.
 kernel(field, rows, ncols) solves a matrix over F_q given as sparse
 {column: FqElem} rows, the form of the θ conditions: the oracle solves
 the p^2 x p^2 block of the first, then the second on its 2p solutions.
-Its elimination runs on the codes of the entries (FqElem.code) through
-FieldParams.normalized_row and FieldParams.sub_scaled_row, so work and
-memory follow the nonzeros.
+Its elimination runs on the codes of the entries (FqElem.code), each row
+operation one FieldParams.accumulate, so work and memory follow the
+nonzeros.
 """
 
 from __future__ import annotations
@@ -107,10 +107,12 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
         for j in row:
             where[j].add(i)
 
+    units, minus_one = field.q - 1, field.elem(-1).code
+
     def clear(i: int, c: int, pivot: dict[int, int]) -> None:
         """Subtract from row i the multiple of pivot that clears column c."""
         row = R[i]
-        field.sub_scaled_row(row, row[c], pivot)
+        field.accumulate(row, (row[c] + minus_one) % units, pivot.items())
         for j in pivot:
             if j in row:
                 where[j].add(i)
@@ -122,7 +124,10 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
         pr = min((i for i in where[c] if i not in pivot_col), default=None)
         if pr is None:
             continue
-        pivot = R[pr] = field.normalized_row(R[pr], c)
+        # divide by the entry g^k in column c: 1/g^k is (units - k) % units
+        row, pivot = R[pr], {}
+        field.accumulate(pivot, (units - row[c]) % units, row.items())
+        R[pr] = pivot
         pivot_col[pr] = c
         for i in [i for i in where[c] if i not in pivot_col]:
             clear(i, c, pivot)

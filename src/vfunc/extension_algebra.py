@@ -18,7 +18,7 @@ a uniformizer.
 An element is held on F_q codes alone (see finite_field), as Codes,
 {index: {exponent: code}} with nonzero entries only.  Sums, products, the
 action and norms run on it through FieldParams.accumulate, so none of them
-builds an intermediate LaurentPoly or FqElem.
+builds an intermediate LaurentPoly or FqElem; a LaurentPoly holds codes too.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class ExtensionPair:
                 or self.g2.field != self.field:
             raise InputError("pair components over different fields")
         for name, g in (("g1", self.g1), ("g2", self.g2)):
-            if len(g.terms) > MAX_TERMS:
-                raise TooManyTerms(f"{name} has {len(g.terms)} terms, more "
+            if len(g.codes) > MAX_TERMS:
+                raise TooManyTerms(f"{name} has {len(g.codes)} terms, more "
                                    f"than MAX_TERMS = {MAX_TERMS}")
         if self.a.is_in_prime_field():
             raise AInPrimeField(f"a = {self.a} lies in the prime field")
@@ -95,11 +95,6 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
                   g2: LaurentPoly) -> ExtensionPair:
     """Build a pair, raising the specific validation error on bad input."""
     return ExtensionPair(field, a, g1, g2)
-
-
-def _poly(field: FieldParams, row: dict[int, int]) -> LaurentPoly:
-    """The LaurentPoly of an {exponent: code} row."""
-    return LaurentPoly(field, [(e, field.from_code(k)) for e, k in row.items()])
 
 
 def add_scaled(field: FieldParams, acc: Codes, k: int, x: Codes) -> None:
@@ -131,19 +126,17 @@ def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
             for e, k in row.items():
                 accumulate(cell, k, row2, e)
     one = field.one().code
-    g1 = [(e, c.code) for e, c in pair.g1.terms]
     for i, j in [key for key in grid if key[0] >= p]:
         cell = grid.pop((i, j)).items()
         accumulate(grid.setdefault((i - p + 1, j), {}), one, cell)
         low = grid.setdefault((i - p, j), {})
-        for e, k in g1:
+        for e, k in pair.g1.codes:
             accumulate(low, k, cell, e)
-    g2 = [(e, c.code) for e, c in pair.g2.terms]
     for i, j in [key for key in grid if key[1] >= p]:
         cell = grid.pop((i, j)).items()
         accumulate(grid.setdefault((i, j - p + 1), {}), one, cell)
         low = grid.setdefault((i, j - p), {})
-        for e, k in g2:
+        for e, k in pair.g2.codes:
             accumulate(low, k, cell, e)
     return {i * p + j: cell for (i, j), cell in grid.items() if cell}
 
@@ -163,8 +156,8 @@ class LElement:
                 raise InputError(f"coordinate index outside 0..{n - 1}")
             if f.field != field:
                 raise InputError("coordinate over another field")
-            if f.terms:
-                codes[idx] = {e: c.code for e, c in f.terms}
+            if f.codes:
+                codes[idx] = dict(f.codes)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "codes", codes)
 
@@ -223,11 +216,12 @@ class LElement:
     def terms(self) -> tuple[tuple[int, LaurentPoly], ...]:
         """The nonzero coordinates as (i*p + j, coefficient), by index."""
         field = self.pair.field
-        return tuple((idx, _poly(field, row))
+        return tuple((idx, LaurentPoly.from_codes(field, row))
                      for idx, row in sorted(self.codes.items()))
 
     def coeff(self, i: int, j: int) -> LaurentPoly:
-        return _poly(self.pair.field, self.codes.get(i * self.pair.p + j, {}))
+        return LaurentPoly.from_codes(
+            self.pair.field, self.codes.get(i * self.pair.p + j, {}))
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -313,7 +307,7 @@ class LElement:
             n = _mul(pair, n, act_on_terms(field, (i, 0), y))
         if any(n):
             raise InternalCheckFailed("sigma-orbit product is not in K")
-        return _poly(field, n.get(0, {}))
+        return LaurentPoly.from_codes(field, n.get(0, {}))
 
     def valuation(self):
         """v_L, normalized so v_L(t) = p^2; INFINITY on zero."""

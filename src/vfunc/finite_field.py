@@ -10,6 +10,9 @@ field's primitive element, and q - 1 for zero.  A product adds codes mod
 q - 1, and a sum uses Zech's logarithm Z(k) = log(1 + g^k):
 g^a + g^b = g^(a + Z(b - a)) (Lidl & Niederreiter, *Finite Fields*).  The
 tables are O(q), built once per field, so q is capped at MAX_Q.
+
+FqElem wraps one code; Laurent series, elements of L and the kernel's rows
+hold bare codes and combine them through FieldParams.accumulate.
 """
 
 from __future__ import annotations
@@ -177,9 +180,9 @@ class FieldParams:
         (exponent, code) pairs of nonzero coefficients, and k is the code
         of a nonzero scale.
         Each c * t^e of row adds g^k * c at exponent e + shift, and an entry
-        that cancels leaves acc.  This is the one Zech loop: Laurent
-        products, the kernel's row operations and products in L all run on
-        it, with _mul and _add inlined on codes.
+        that cancels leaves acc.  This is the one Zech loop: Laurent series
+        arithmetic, the kernel's row operations (columns for exponents) and
+        arithmetic in L all run on it, with _mul and _add inlined on codes.
         """
         units, zech = self._units, self._zech
         for e, c in row:
@@ -197,36 +200,6 @@ class FieldParams:
             else:
                 m = cur + z
                 acc[e] = m - units if m >= units else m
-
-    def convolve(self, a: Sequence[tuple[int, FqElem]],
-                 b: Sequence[tuple[int, FqElem]]) -> list[tuple[int, FqElem]]:
-        """Sums of c1 * c2 over e1 + e2 for two lists of (e, c), c nonzero:
-        the product of two Laurent polynomials, nonzero sums only."""
-        acc: dict[int, int] = {}
-        row = [(e, c.code) for e, c in b]
-        for e, c in a:
-            self.accumulate(acc, c.code, row, e)
-        elems = self._elems
-        return [(e, elems[m]) for e, m in acc.items()]
-
-    # Rows for sparse elimination map a column index to the code of a
-    # nonzero entry; a missing index is a zero entry.
-
-    def normalized_row(self, row: dict[int, int], j: int) -> dict[int, int]:
-        """The row divided by its (nonzero) entry in column j."""
-        units = self._units
-        k = units - row[j]
-        out = {}
-        for i, c in row.items():
-            m = c + k
-            out[i] = m - units if m >= units else m
-        return out
-
-    def sub_scaled_row(self, row: dict[int, int], k: int,
-                       pivot: dict[int, int]) -> None:
-        """row -= g^k * pivot in place; entries that cancel leave the row.
-        The elimination step of a sparse row reduction."""
-        self.accumulate(row, self._mul(k, self._neg_one), pivot.items())
 
     @property
     def q(self) -> int:

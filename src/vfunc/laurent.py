@@ -12,6 +12,9 @@ Conventions:
   zero series counts as a member).  J represents K / wp(K) where
   wp(x) = x^p - x, and reduce_to_J computes the representative together
   with a witness for the subtracted wp-part.
+
+A series is held on F_q codes (see finite_field), as elements of L are,
+and its arithmetic runs on them through FieldParams.accumulate.
 """
 
 from __future__ import annotations
@@ -27,20 +30,41 @@ INFINITY = float("inf")
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial; terms held sorted with nonzero coeffs."""
+    """Immutable Laurent polynomial: codes holds the (exponent, code) pairs
+    of its nonzero coefficients by exponent, and terms reads them back."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "codes")
 
     def __init__(self, field: FieldParams, terms: dict[int, FqElem] | Iterable[tuple[int, FqElem]]):
+        """terms: (exponent, FqElem) pairs or a dict; zeros are dropped, and
+        a coefficient not in field or a repeated exponent raises InputError."""
         items = terms.items() if isinstance(terms, dict) else terms
-        clean = tuple(sorted((e, c) for e, c in items if not c.is_zero()))
+        row: dict[int, int] = {}
+        for e, c in items:
+            if not isinstance(c, FqElem) or c.field != field:
+                raise InputError(f"coefficient {c!r} is not in {field}")
+            if c.is_zero():
+                continue
+            if e in row:
+                raise InputError(f"exponent {e} given twice")
+            row[e] = c.code
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "codes", tuple(sorted(row.items())))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_codes(cls, field: FieldParams,
+                   row: dict[int, int]) -> LaurentPoly:
+        """The series of an {exponent: code} row of nonzero codes, the form
+        FieldParams.accumulate fills; the row itself is not kept."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", field)
+        object.__setattr__(f, "codes", tuple(sorted(row.items())))
+        return f
 
     @classmethod
     def zero(cls, field: FieldParams) -> LaurentPoly:
@@ -53,8 +77,6 @@ class LaurentPoly:
     @classmethod
     def t_pow(cls, field: FieldParams, e: int, coeff: FqElem | int = 1) -> LaurentPoly:
         c = field.elem(coeff) if isinstance(coeff, int) else coeff
-        if c.field != field:
-            raise InputError("coefficient over another field")
         return cls(field, [(e, c)])
 
     @classmethod
@@ -77,39 +99,43 @@ class LaurentPoly:
             terms.append((e, field.parse(txt)))
         return cls(field, terms)
 
+    @property
+    def terms(self) -> tuple[tuple[int, FqElem], ...]:
+        """The nonzero coefficients as (exponent, FqElem), by exponent."""
+        elem = self.field.from_code
+        return tuple((e, elem(k)) for e, k in self.codes)
+
     def to_pairs(self) -> list[list]:
         return [[e, str(c)] for e, c in self.terms]
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.codes
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.codes)
 
     def valuation(self) -> int | float:
         """t-adic valuation v_K; INFINITY for the zero series."""
-        return self.terms[0][0] if self.terms else INFINITY
+        return self.codes[0][0] if self.codes else INFINITY
 
     def degree(self) -> int | float:
-        return self.terms[-1][0] if self.terms else -INFINITY
+        return self.codes[-1][0] if self.codes else -INFINITY
 
     def coeff(self, e: int) -> FqElem:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return self.field.zero()
+        # q - 1 is the code of zero
+        return self.field.from_code(dict(self.codes).get(e, self.field.q - 1))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
+        return tuple(e for e, _ in self.codes)
 
     def is_in_J(self) -> bool:
         """Membership in J: all exponents negative and prime to p."""
         p = self.field.p
-        return all(e < 0 and e % p != 0 for e, _ in self.terms)
+        return all(e < 0 and e % p != 0 for e, _ in self.codes)
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic, on codes through FieldParams.accumulate -----------------
 
     def _check(self, other: LaurentPoly) -> None:
         if self.field is not other.field and self.field != other.field:
@@ -118,65 +144,59 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return self.field == other.field and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash((self.field, self.terms))
+        return hash((self.field, self.codes))
 
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+    def _plus(self, k: int, other: LaurentPoly) -> LaurentPoly:
+        """self + g^k * other."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            add_into(acc, e, c)
-        return LaurentPoly(self.field, acc)
+        acc = dict(self.codes)
+        self.field.accumulate(acc, k, other.codes)
+        return LaurentPoly.from_codes(self.field, acc)
 
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.field, [(e, -c) for e, c in self.terms])
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        return self._plus(self.field.one().code, other)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(self.field.elem(-1).code, other)
+
+    def __neg__(self) -> LaurentPoly:
+        return LaurentPoly.zero(self.field) - self
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            self._check(other)
-            return LaurentPoly(self.field,
-                               self.field.convolve(self.terms, other.terms))
+        """Product with a series, or with a scalar in F_q as a constant."""
         if isinstance(other, (FqElem, int)):
-            c = self.field.elem(other) if isinstance(other, int) else other
-            if c.field != self.field:
-                raise InputError("scalar from a different field")
-            return LaurentPoly(self.field, [(e, a * c) for e, a in self.terms])
-        return NotImplemented
+            other = LaurentPoly.t_pow(self.field, 0, other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        self._check(other)
+        field, acc = self.field, {}
+        for e, k in other.codes:
+            field.accumulate(acc, k, self.codes, e)
+        return LaurentPoly.from_codes(field, acc)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly(self.field, [(e + k, c) for e, c in self.terms])
+        return LaurentPoly.from_codes(self.field,
+                                      {e + k: c for e, c in self.codes})
 
     def frobenius(self) -> LaurentPoly:
         """The p-power map: coefficients to the p, exponents times p."""
-        p = self.field.p
-        return LaurentPoly(self.field, [(p * e, c.frobenius()) for e, c in self.terms])
+        p, units = self.field.p, self.field.q - 1   # (g^k)^p = g^(k*p)
+        return LaurentPoly.from_codes(
+            self.field, {p * e: k * p % units for e, k in self.codes})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*t^{e}" for e, c in self.terms)
+        return " + ".join(f"({c})*t^{e}" for e, c in self.terms) or "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
-
-
-def add_into(acc: dict, key, c) -> None:
-    """acc[key] += c, storing c itself on a new key.  A sum that cancels
-    stays behind as a zero entry, so the caller drops zeros once at the end
-    (the LaurentPoly constructor does)."""
-    acc[key] = acc[key] + c if key in acc else c
 
 
 def wp(h: LaurentPoly) -> LaurentPoly:
@@ -195,24 +215,25 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     with nonzero trace means the class has an unramified part that J cannot
     represent, which is an error here.  Positive exponents are discarded
     without a witness.
+    It runs on codes, where the p-th root of g^k is g^(k*p^(n-1)); only a
+    constant term becomes an FqElem, for its trace and root.
     """
     field = g.field
-    p = field.p
-    work = {e: c for e, c in g.terms}
-    witness: dict[int, FqElem] = {}
-    while True:
-        bad = sorted(e for e in work if e < 0 and e % p == 0)
-        if not bad:
-            break
+    p, units, one = field.p, field.q - 1, field.one().code
+    root = p ** (field.n - 1)
+    work = dict(g.codes)
+    witness: dict[int, int] = {}
+    while bad := sorted(e for e in work if e < 0 and e % p == 0):
         for e in bad:
-            c = work.pop(e, None)
-            if c is None or c.is_zero():
+            k = work.pop(e, None)
+            if k is None:   # cancelled by an earlier root this round
                 continue
-            r = c.pth_root()
-            add_into(work, e // p, r)
-            add_into(witness, e // p, r)
-    c0 = work.pop(0, None)
-    if c0 is not None and not c0.is_zero():
+            r = ((e // p, k * root % units),)
+            field.accumulate(work, one, r)
+            field.accumulate(witness, one, r)
+    k0 = work.pop(0, None)
+    if k0 is not None:
+        c0 = field.from_code(k0)
         if c0.abs_trace() != 0:
             raise NontrivialUnramifiedPart(
                 f"constant term {c0} has absolute trace {c0.abs_trace()}")
@@ -220,6 +241,7 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
         if x is None:
             raise InternalCheckFailed(
                 f"no Artin-Schreier root of trace-zero constant {c0}")
-        add_into(witness, 0, x)
-    rep = LaurentPoly(field, {e: c for e, c in work.items() if e < 0})
-    return rep, LaurentPoly(field, witness)
+        witness[0] = x.code   # the witness so far has negative exponents
+    rep = {e: k for e, k in work.items() if e < 0}
+    return (LaurentPoly.from_codes(field, rep),
+            LaurentPoly.from_codes(field, witness))

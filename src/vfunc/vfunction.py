@@ -15,10 +15,12 @@ linear conditions
 for m in L (writing m (g - 1) for act(g, m) - m), scales an echelon basis
 of the solution space into the integral lattice, and reads v off the
 extension valuation of a 2x2 determinant of images.  The group sends a
-monomial to an F_p-combination of monomials and a is a constant, so the
-conditions are written once, on elements held as F_q codes: on the basis
-monomials they give the 2p^2 x p^2 matrix theta_conditions_matrix, and on
-elements of L they check the images.  The action on a monomial never
+monomial to an F_p-combination of monomials and a is a constant, so each
+condition is written once (_first_image, _second_image), on elements held
+as F_q codes: on the basis monomials they give the 2p^2 x p^2 matrix
+theta_conditions_matrix, the reference for the solve below, on the kept
+first-stage vectors they give the second stage's matrix, and on elements
+of L they check the images.  The action on a monomial never
 folds by the defining relations, so the solution depends on (field, a)
 alone, never on g1 or g2, and it is found in two stages, each solved by
 exact_linalg.kernel and kept in a bounded cache:
@@ -97,34 +99,30 @@ def v_formula(pair: ExtensionPair) -> VResult:
     return VResult(value=_ceil_div(s, p * p), s=s, route="formula")
 
 
-def _differences(field: FieldParams, m: Codes) -> tuple[Codes, Codes, Codes]:
-    """m (sigma - 1), m (sigma - 1)^2 and m (tau - 1) for m on F_q codes, as
-    codes; a does not enter."""
-    minus_one = (-field.one()).code
-
-    def diff(g: tuple[int, int], y: Codes) -> Codes:
-        """y (g - 1)."""
-        out = act_on_terms(field, g, y)
-        add_scaled(field, out, minus_one, y)
-        return out
-
-    # m (sigma - 1)^2 = m (sigma^2 - 1) - 2 m (sigma - 1), with sigma^2 =
-    # (2, 0): acting on m rather than on the denser m (sigma - 1) keeps
-    # the cost on a monomial O(p)
-    ds = diff(SIGMA, m)
-    dds = diff((2, 0), m)
-    add_scaled(field, dds, minus_one, ds)
-    add_scaled(field, dds, minus_one, ds)
-    return ds, dds, diff(TAU, m)
+def _diff(field: FieldParams, g: tuple[int, int], y: Codes) -> Codes:
+    """y (g - 1) for y on F_q codes, as codes."""
+    out = act_on_terms(field, g, y)
+    add_scaled(field, out, field.elem(-1).code, y)
+    return out
 
 
-def _condition_images(field: FieldParams, a: FqElem,
-                      m: Codes) -> tuple[Codes, Codes, Codes]:
-    """m (sigma - 1)^2, m (tau - 1) - a * m (sigma - 1) and m (sigma - 1) for
-    m on F_q codes, as codes; the first two are empty exactly on solutions."""
-    ds, first, second = _differences(field, m)
-    add_scaled(field, second, (-a).code, ds)
-    return first, second, ds
+def _first_image(field: FieldParams, m: Codes, ds: Codes) -> Codes:
+    """m (sigma - 1)^2, the first condition's image, given ds = m (sigma - 1),
+    as m (sigma^2 - 1) - 2 ds with sigma^2 = (2, 0): acting on m, not on the
+    denser ds, keeps the cost on a monomial O(p).  a does not enter."""
+    minus_one = field.elem(-1).code
+    out = _diff(field, (2, 0), m)
+    add_scaled(field, out, minus_one, ds)
+    add_scaled(field, out, minus_one, ds)
+    return out
+
+
+def _second_image(field: FieldParams, a: FqElem, ds: Codes,
+                  dt: Codes) -> Codes:
+    """m (tau - 1) - a * m (sigma - 1), the image of the second condition,
+    given ds = m (sigma - 1) and dt = m (tau - 1); written into dt."""
+    add_scaled(field, dt, (-a).code, ds)
+    return dt
 
 
 def _matrix(field: FieldParams, nrows: int,
@@ -144,12 +142,18 @@ def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
     the monomial with index idx and coefficient 1, the first condition
     above the second.  The action and the scaling by a keep coefficients
     constant, so every image coordinate is a row {0: code}.  Only
-    pair.field and pair.a enter."""
+    pair.field and pair.a enter.
+
+    The oracle does not call it: it is the full solve, the reference that
+    the tests hold the two-stage solve (_theta_solution) to."""
     field, n = pair.field, pair.p ** 2
     one = field.one().code
 
     def column(col: int) -> Codes:
-        first, second, _ = _condition_images(field, pair.a, {col: {0: one}})
+        m = {col: {0: one}}
+        ds = _diff(field, SIGMA, m)
+        first = _first_image(field, m, ds)
+        second = _second_image(field, pair.a, ds, _diff(field, TAU, m))
         first.update((n + idx, row) for idx, row in second.items())
         return first
 
@@ -182,13 +186,16 @@ def _first_condition(
     """
     n = field.p ** 2
     one = field.one().code
-    rows = _matrix(field, n, (_differences(field, {col: {0: one}})[1]
-                              for col in range(n)))
+
+    def column(col: int) -> Codes:
+        m = {col: {0: one}}
+        return _first_image(field, m, _diff(field, SIGMA, m))
+
     out = []
-    for v in kernel(field, rows, n):
+    for v in kernel(field, _matrix(field, n, map(column, range(n))), n):
         m = {i: {0: c.code} for i, c in v.items()}
-        ds, _, dt = _differences(field, m)
-        out.append((_vector(m), _vector(ds), _vector(dt)))
+        out.append((_vector(m), _vector(_diff(field, SIGMA, m)),
+                    _vector(_diff(field, TAU, m))))
     return tuple(out)
 
 
@@ -206,16 +213,10 @@ def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
     conditions matrix.  Solved on first use and kept; a takes fewer than
     q <= MAX_Q values per field, so one field's values all fit.
     """
-    minus_a = (-a).code
     first = _first_condition(field)
-
-    def column(ds: Vector, dt: Vector) -> Codes:
-        image = _codes(dt)
-        add_scaled(field, image, minus_a, _codes(ds))
-        return image
-
     rows = _matrix(field, field.p ** 2,
-                   (column(ds, dt) for _, ds, dt in first))
+                   (_second_image(field, a, _codes(ds), _codes(dt))
+                    for _, ds, dt in first))
     basis = []
     for c in kernel(field, rows, len(first)):
         m: Codes = {}
@@ -267,8 +268,10 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
     since only then is phi equivariant.  v_oracle runs this check on the
     lattice basis of every pair, so it also guards the kept solutions.
     """
-    first, second, ds = _condition_images(m.pair.field, m.pair.a, m.codes)
-    if first or second:
+    field, x = m.pair.field, m.codes
+    ds = _diff(field, SIGMA, x)
+    if (_first_image(field, x, ds)
+            or _second_image(field, m.pair.a, ds, _diff(field, TAU, x))):
         raise NotInTheta("element does not satisfy the defining conditions")
     return LElement.from_codes(m.pair, ds), m
 

@@ -14,7 +14,7 @@ from vfunc.extension_algebra import (
     validate_pair,
 )
 from vfunc.finite_field import FieldParams, FqElem
-from vfunc.laurent import LaurentPoly, add_into
+from vfunc.laurent import LaurentPoly
 from vfunc.vfunction import _first_condition, _theta_solution
 
 
@@ -203,6 +203,12 @@ def mult_matrix(x: LElement):
     cols = [coeffs(x * LElement.monomial(x.pair, i, j))
             for i in range(p) for j in range(p)]
     return [list(row) for row in zip(*cols)]
+
+
+def add_into(acc: dict, key, c) -> None:
+    """acc[key] += c, storing c itself on a new key; a sum that cancels
+    stays behind as a zero entry, which LElement drops."""
+    acc[key] = acc[key] + c if key in acc else c
 
 
 def _fold(grid: dict[tuple[int, int], LaurentPoly],

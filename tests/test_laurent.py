@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from vfunc.errors import InputError, InternalCheckFailed, NontrivialUnramifiedPart
-from vfunc.finite_field import FieldParams
+from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import INFINITY, LaurentPoly, reduce_to_J, wp
 
 from conftest import make_rng, random_laurent
@@ -163,9 +163,10 @@ def test_reduce_without_artin_schreier_root_fails_check(f4, monkeypatch):
         reduce_to_J(LaurentPoly.one(f4))
 
 
-def test_reduce_idempotent_and_wp_invariant(f4, f9):
+def test_reduce_idempotent_and_wp_invariant(f4, f9, f8):
     rng = make_rng("reduce-props")
-    for fld in (f4, f9):
+    # over F_8 the p-th root is not the p-th power, as it is when n = 2
+    for fld in (f4, f9, f8):
         for _ in range(120):
             g = random_laurent(fld, rng, lo=-9, hi=3)
             try:
@@ -219,6 +220,51 @@ def test_monomial_coefficient_over_another_field_rejected(f4, f9):
     with pytest.raises(InputError):
         LaurentPoly.t_pow(f4, -1, f9.one())
     assert LaurentPoly.t_pow(f9, 0, 4) == LaurentPoly.one(f9)
+
+
+def test_constructor_rejects_a_coefficient_over_another_field(f4, f9):
+    """A series holds codes, and another field's code read in this field's
+    tables is an unrelated element, so the constructor takes none."""
+    with pytest.raises(InputError):
+        LaurentPoly(f9, [(-1, f4.gen())])
+    with pytest.raises(InputError):
+        LaurentPoly(f4, {-1: f4.one(), 2: f9.gen()})
+    with pytest.raises(InputError):
+        LaurentPoly(f4, [(-1, 1)])
+    with pytest.raises(InputError):
+        LaurentPoly(f9, [(-1, f9.one()), (-1, f9.gen())])
+    # a zero coefficient is dropped before the repeat is seen
+    assert LaurentPoly(f9, [(-1, f9.zero()), (-1, f9.gen())]) == \
+        LaurentPoly.t_pow(f9, -1, f9.gen())
+
+
+def test_series_arithmetic_does_no_fq_element_arithmetic(f9, monkeypatch):
+    """Series are held on codes, so sums, products, Frobenius and the
+    reduction to J (without a constant term) run on codes alone."""
+    rng = make_rng("codes-only")
+    x, y = random_laurent(f9, rng), random_laurent(f9, rng)
+    # exponents -9 and -3 take the p-th root path twice
+    g = random_laurent(f9, rng, lo=-8, hi=-1) + LaurentPoly(
+        f9, [(-9, f9.gen()), (-3, f9.one())])
+    called = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            called.append(name)
+            return real(*args)
+        return wrapped
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__neg__", "__pow__", "__truediv__",
+                 "frobenius", "pth_root"):
+        monkeypatch.setattr(FqElem, name, spy(name, getattr(FqElem, name)))
+    results = [x + y, x - y, -x, x * y, x * f9.gen(), 2 * x, x.frobenius(),
+               wp(x), *reduce_to_J(g)]
+    assert called == []
+    monkeypatch.undo()
+    rep, witness = results[-2:]
+    assert rep != g and not witness.is_zero()
+    check_reduction_contract(g, rep, witness)
 
 
 def test_product_matches_term_by_term_reference(f4, f8, f9, f25):
