@@ -221,6 +221,11 @@ class FieldParams:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldParams is immutable")
 
+    def __reduce__(self):
+        # Unpickling would set the slots through __setattr__; rebuild the
+        # field, tables and all, from what defines it.
+        return FieldParams, (self.p, self.n, self.modulus)
+
     # -- element construction ------------------------------------------------
 
     def elem(self, coeffs: Sequence[int] | int) -> FqElem:
@@ -298,6 +303,9 @@ class FqElem:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FqElem is immutable")
+
+    def __reduce__(self):
+        return FqElem, (self.field, self.coeffs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

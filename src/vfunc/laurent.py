@@ -54,6 +54,9 @@ class LaurentPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly.from_codes, (self.field, dict(self.codes))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -14,16 +14,20 @@ linear conditions
 
 for m in L (writing m (g - 1) for act(g, m) - m), scales an echelon basis
 of the solution space into the integral lattice, and reads v off the
-extension valuation of a 2x2 determinant of images.  The group sends a
-monomial to an F_p-combination of monomials and a is a constant, so each
-condition is written once (_first_image, _second_image), on elements held
-as F_q codes: on the basis monomials they give the 2p^2 x p^2 matrix
-theta_conditions_matrix, the reference for the solve below, on the kept
-first-stage vectors they give the second stage's matrix, and on elements
-of L they check the images.  The action on a monomial never
-folds by the defining relations, so the solution depends on (field, a)
-alone, never on g1 or g2, and it is found in two stages, each solved by
-exact_linalg.kernel and kept in a bounded cache:
+extension valuation of a 2x2 determinant of images.  Both valuations, of
+the second basis vector and of the determinant, come from
+LElement.valuation: the tau-orbit product down to K(beta), read through
+the orthogonal basis of powers of beta, with no norm down to K.
+
+The group sends a monomial to an F_p-combination of monomials and a is a
+constant, so each condition is written once (_first_image, _second_image),
+on elements held as F_q codes: on the basis monomials they give the
+2p^2 x p^2 matrix theta_conditions_matrix, the reference for the solve
+below, on the kept first-stage vectors they give the second stage's
+matrix, and on elements of L they check the images.  The action on a
+monomial never folds by the defining relations, so the solution depends
+on (field, a) alone, never on g1 or g2, and it is found in two stages,
+each solved by exact_linalg.kernel and kept in a bounded cache:
 
 1. m (sigma - 1)^2 = 0 does not read a.  Its p^2 x p^2 block is solved
    once per field; the 2p basis vectors are kept with their images
@@ -72,7 +76,7 @@ class ThetaBasis:
 
     {t^e1 * m1, t^e2 * m2} is an O_K-basis; m1 is the constant 1 with
     e1 = 0, and m2 has zero constant coordinate.  s_prime = -v_L(m2) is
-    kept so callers do not have to recompute a norm.
+    kept so callers do not have to measure it again.
     """
 
     m1: LElement
@@ -242,9 +246,10 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     coordinate.  The solve depends on (field, a) only and is done once per
     process (_theta_solution); each call wraps fresh copies of the kept
     vectors.  The second generator's scaling exponent is e2 =
-    ceil(s'/p^2) with s' = -v_L(m2), measured for each pair; s' off the
-    allowed residues (that is, divisible by p^2) would break the lattice
-    splitting and raises.
+    ceil(s'/p^2) with s' = -v_L(m2), measured for each pair by
+    LElement.valuation (the tau-orbit product of m2, read through the
+    orthogonal basis of K(beta)); s' off the allowed residues (that is,
+    divisible by p^2) would break the lattice splitting and raises.
     """
     p = pair.p
     m1, m2 = (LElement.from_codes(pair, _codes(v))

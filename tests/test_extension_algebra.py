@@ -1,5 +1,6 @@
 """Checks for the rank-p^2 algebra, its group action, and norms."""
 
+import pickle
 from math import comb
 
 import pytest
@@ -431,6 +432,41 @@ def test_norm_checks_trip_on_a_broken_action(f9, monkeypatch):
         LElement.beta(pair).norm()
 
 
+def test_valuation_checks_trip_on_a_broken_action(f9, monkeypatch):
+    """valuation() shares the norm's tau stage and its check: with the
+    action the identity, the tau-orbit product of alpha leaves K(beta)."""
+    pair = random_pair(f9, make_rng("norm-broken-act"))
+    monkeypatch.setattr("vfunc.extension_algebra.act_on_terms",
+                        lambda field, g, x: x)
+    with pytest.raises(InternalCheckFailed, match="K\\(beta\\)"):
+        LElement.alpha(pair).valuation()
+
+
+def unchecked_pair(field, a, g1, g2) -> ExtensionPair:
+    """An ExtensionPair built without running its validation."""
+    pair = object.__new__(ExtensionPair)
+    for name, value in (("field", field), ("a", a), ("g1", g1), ("g2", g2)):
+        object.__setattr__(pair, name, value)
+    return pair
+
+
+def test_valuation_needs_the_pole_order_of_g2_prime_to_p(f9):
+    """v_L is read off K(beta) through the orthogonal basis of powers of
+    beta, which needs j2 = -v_K(g2) positive and prime to p.  Validation
+    rules both failures out, so a pair built past it must raise, not
+    return a number."""
+    g1 = LaurentPoly.t_pow(f9, -1)
+    for g2 in (LaurentPoly.t_pow(f9, -3, f9.gen()),   # p | j2
+               LaurentPoly.t_pow(f9, -6, f9.gen()) + g1,  # and a lower term
+               LaurentPoly.t_pow(f9, 1),              # j2 < 0
+               LaurentPoly.zero(f9)):
+        pair = unchecked_pair(f9, f9.gen(), g1, g2)
+        for x in (LElement.beta(pair), LElement.alpha(pair),
+                  LElement.one(pair)):
+            with pytest.raises(InternalCheckFailed, match="Artin-Schreier"):
+                x.valuation()
+
+
 def test_pairing_element_norm_example(f4):
     """Frozen norm for g1 = t^-3, g2 = w*t^-3 + t^-1, a = w.
 
@@ -449,6 +485,17 @@ def test_valuation_of_zero_is_infinite(f4):
     from vfunc import INFINITY
     pair = base_pair(f4)
     assert LElement.zero(pair).valuation() == INFINITY
+
+
+def test_pairs_and_elements_survive_pickling(f9):
+    rng = make_rng("pickle")
+    pair = random_pair(f9, rng)
+    x = random_element(pair, rng, lo=-2, hi=2)
+    for value in (pair, LElement.zero(pair), x):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+    # back is the copy of x: it still multiplies and measures as x does
+    assert back * back == x * x and back.valuation() == x.valuation()
 
 
 def test_mult_matrix_is_multiplicative(f4):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from vfunc import finite_field
@@ -231,3 +233,14 @@ def test_oversize_composite_is_too_large_not_composite():
         FieldParams(2, MAX_Q.bit_length() + 1)
     with pytest.raises(InputError, match="not prime"):
         FieldParams(4, 1)
+
+
+def test_fields_and_elements_survive_pickling(f9):
+    f27 = FieldParams(3, 3, (1, 2, 0, 1))
+    for field in (f9, f27):
+        back = pickle.loads(pickle.dumps(field))
+        assert back == field and hash(back) == hash(field)
+        for x in field.elements():
+            y = pickle.loads(pickle.dumps(x))
+            assert y == x and hash(y) == hash(x)
+            assert y * field.gen() == x * field.gen()

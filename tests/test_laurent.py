@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from vfunc.errors import InputError, InternalCheckFailed, NontrivialUnramifiedPart
@@ -305,3 +307,11 @@ def test_zero_operands_come_back_unchanged(f4, f9):
                lambda: other_zero * f9.gen()):
         with pytest.raises(InputError):
             op()
+
+
+def test_series_survive_pickling(f9):
+    rng = make_rng("pickle-series")
+    for f in (random_laurent(f9, rng), LaurentPoly.zero(f9)):
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and hash(back) == hash(f)
+        assert back * back == f * f

@@ -6,7 +6,7 @@ run.  These add to the seeded tests elsewhere and replace none of them.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from vfunc.extension_algebra import LElement, act, validate_pair
@@ -72,9 +72,48 @@ def element_pairs(draw, field: FieldParams):
     return LElement(pair, draw(coords)), LElement(pair, draw(coords))
 
 
-def derandomized(max_examples: int):
+@st.composite
+def elements(draw, field: FieldParams, max_pole: int, max_coords: int):
+    """x = gamma * z + r in the algebra L of a valid pair, with gamma =
+    a*alpha + beta, and z and r with up to max_coords nonzero coordinates
+    whose coefficients have up to three terms at exponents of either sign.
+
+    The pair is drawn as (a, g1, f) with g2 = f - a^p*g1, g1 of pole order
+    at most max_pole and f of pole order at most 2; g1's exponents shrink
+    toward -max_pole and f's toward -1.  When -v_K(g1) > -p*v_K(f),
+    v_L(gamma) = v_K(g1) is prime to p, and so is v_L(gamma * z) for most
+    z: x then takes its valuation from a coordinate y_k, k != 0, of the
+    tau-orbit product, which no element of v_L divisible by p does.
+    """
+    p = field.p
+    nonzero = list(field.elements())[1:]
+    a = draw(st.sampled_from([x for x in nonzero
+                              if not x.is_in_prime_field()]))
+    g1s = laurent(field, [e for e in range(-max_pole, 0) if e % p],
+                  nonzero, 2)
+    fs = laurent(field, [e for e in (-1, -2) if e % p], nonzero, 2)
+
+    def draw_pair():
+        g1 = draw(g1s)
+        return validate_pair(field, a, g1, draw(fs) - a ** p * g1)
+
+    pair = capped_draw(draw_pair)
+    coeffs = laurent(field, [0, -1, 1, -2, 2, -3, 3], nonzero, 3)
+    z, r = (LElement(pair, draw(st.dictionaries(
+        st.integers(0, p * p - 1), coeffs, min_size=size,
+        max_size=max_coords)))
+        for size in (1, 0))
+    return LElement.gamma(pair) * z + r
+
+
+def derandomized(max_examples: int, explain: bool = True):
+    """explain=False leaves out Hypothesis's explain phase, which reruns a
+    shrunk failure with each draw varied: over dense norms in L that takes
+    tens of minutes, where finding and shrinking takes seconds."""
     return settings(derandomize=True, database=None, deadline=None,
                     max_examples=max_examples,
+                    phases=[ph for ph in Phase
+                            if explain or ph is not Phase.explain],
                     suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -103,6 +142,26 @@ def test_quotient_compatibility_holds(field, data):
 def test_norm_is_multiplicative(field, data):
     x, y = data.draw(element_pairs(field))
     assert (x * y).norm() == x.norm() * y.norm()
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=15, explain=False)
+@given(data=st.data())
+def test_valuation_equals_that_of_the_norm(field, data):
+    """valuation() reads v_L off the tau-orbit product through the
+    orthogonal basis of K(beta); norm() takes the product down to K."""
+    x = data.draw(elements(field, 2 * field.p + 1, 2 * field.p))
+    assert x.valuation() == x.norm().valuation()
+
+
+@over([FieldParams(7, 2)])
+@derandomized(max_examples=3, explain=False)
+@given(data=st.data())
+def test_valuation_equals_that_of_the_norm_at_p7(field, data):
+    """As above, with poles of order at most p + 1, at most 4 coordinates
+    in z and r, and 3 draws: a dense norm at p = 7 takes seconds."""
+    x = data.draw(elements(field, field.p + 1, 4))
+    assert x.valuation() == x.norm().valuation()
 
 
 @over(SMALL_FIELDS)
