@@ -103,6 +103,13 @@ def _load_job(path: str) -> ExtensionPair:
     return validate_pair(field, a, g1, g2)
 
 
+def _both_routes(pair: ExtensionPair) -> tuple[VResult, VResult, bool]:
+    """(formula, oracle, whether they agree on both v and s)."""
+    rf = v_formula(pair)
+    ro = v_oracle(pair)
+    return rf, ro, rf.value == ro.value and rf.s == ro.s
+
+
 def _result_dict(res: VResult) -> dict:
     return {"value": res.value, "s": res.s, "route": res.route}
 
@@ -112,10 +119,7 @@ def _emit_json(obj) -> None:
 
 
 def cmd_v(args) -> int:
-    pair = _load_job(args.input)
-    rf = v_formula(pair)
-    ro = v_oracle(pair)
-    agree = rf.value == ro.value and rf.s == ro.s
+    rf, ro, agree = _both_routes(_load_job(args.input))
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["v_formula", "v_oracle", "agree", "s_formula",
@@ -170,9 +174,7 @@ def cmd_counterexample(args) -> int:
         if c.is_in_prime_field():
             continue
         pair = _counterexample_family(field, c)
-        rf = v_formula(pair)
-        ro = v_oracle(pair)
-        agree = rf.value == ro.value and rf.s == ro.s
+        rf, ro, agree = _both_routes(pair)
         all_agree = all_agree and agree
         rows.append({
             "c": str(c),
@@ -235,47 +237,35 @@ def _random_series(field: FieldParams, rng: random.Random,
     raise SamplingExhausted(f"no nonzero series in {_MAX_DRAWS} draws")
 
 
-def _random_job(field: FieldParams, rng: random.Random,
-                max_degree: int) -> tuple:
+def _random_pair(field: FieldParams, rng: random.Random,
+                 max_degree: int) -> ExtensionPair:
     for _ in range(_MAX_DRAWS):
         g1 = _random_series(field, rng, max_degree)
         g2 = _random_series(field, rng, max_degree)
         a = field.random_element(rng)
         try:
-            validate_pair(field, a, g1, g2)
+            return validate_pair(field, a, g1, g2)
         except InputError:
             continue
-        return str(a), g1.to_pairs(), g2.to_pairs()
     raise SamplingExhausted(f"no valid pair in {_MAX_DRAWS} draws")
 
 
 def _sweep_jobs(field: FieldParams, seed: int, count: int,
-                max_degree: int) -> list[tuple]:
+                max_degree: int) -> list[ExtensionPair]:
     rng = random.Random(seed)
-    return [_random_job(field, rng, max_degree) for _ in range(count)]
+    return [_random_pair(field, rng, max_degree) for _ in range(count)]
 
 
-def _sweep_rows(field: FieldParams, jobs: list[tuple]) -> list[tuple]:
-    rows = []
-    for a_str, g1_pairs, g2_pairs in jobs:
-        pair = validate_pair(field, field.parse(a_str),
-                             LaurentPoly.from_pairs(field, g1_pairs),
-                             LaurentPoly.from_pairs(field, g2_pairs))
-        rf = v_formula(pair)
-        ro = v_oracle(pair)
-        agree = rf.value == ro.value and rf.s == ro.s
-        fingerprint = filtration_fingerprint(upper_filtration(pair))
-        rows.append((json.dumps(g1_pairs, separators=(",", ":")),
-                     json.dumps(g2_pairs, separators=(",", ":")),
-                     rf.value, ro.value, str(agree).lower(), rf.s,
-                     fingerprint))
-    return rows
+def _json_series(g: LaurentPoly) -> str:
+    return json.dumps(g.to_pairs(), separators=(",", ":"))
 
 
-def _sweep_worker(task: tuple) -> list[tuple]:
-    """Rows of one worker's share of a sweep: its field is built once."""
-    (p, n, modulus), jobs = task
-    return _sweep_rows(FieldParams(p, n, modulus), jobs)
+def _sweep_row(pair: ExtensionPair) -> tuple:
+    """One CSV row of a sweep, in this process or a --jobs worker."""
+    rf, ro, agree = _both_routes(pair)
+    return (_json_series(pair.g1), _json_series(pair.g2), rf.value,
+            ro.value, str(agree).lower(), rf.s,
+            filtration_fingerprint(upper_filtration(pair)))
 
 
 def cmd_sweep(args) -> int:
@@ -294,29 +284,26 @@ def cmd_sweep(args) -> int:
     if terms > MAX_TERMS:
         raise TooManyTerms(f"--max-degree {args.max_degree} allows {terms} "
                            f"terms, more than MAX_TERMS = {MAX_TERMS}")
-    jobs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    pairs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
+    workers = min(args.jobs, len(pairs), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: serial runs need not pay for it at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        # Worker k takes jobs k, k + workers, ...; job i's row is then row
-        # i // workers of share i % workers.
-        key = (field.p, field.n, field.modulus)
-        tasks = [(key, jobs[k::workers]) for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(_sweep_worker, tasks))
-        results = [shares[i % workers][i // workers]
-                   for i in range(len(jobs))]
+        # One contiguous share of at most ceil(count / workers) pairs per
+        # task, and one worker per share.  A share's pairs hold one field
+        # object, which pickle sends once, so a worker builds the field's
+        # tables once per share.
+        share = -(-len(pairs) // workers)
+        with ProcessPoolExecutor(max_workers=-(-len(pairs) // share)) as pool:
+            results = list(pool.map(_sweep_row, pairs, chunksize=share))
     else:
-        results = _sweep_rows(field, jobs)
+        results = list(map(_sweep_row, pairs))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["g1", "g2", "v_formula", "v_oracle", "agree", "s",
                      "fingerprint"])
-    ok = True
-    for row in results:
-        writer.writerow(row)
-        ok = ok and row[4] == "true"
+    writer.writerows(results)
+    ok = all(row[4] == "true" for row in results)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

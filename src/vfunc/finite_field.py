@@ -321,8 +321,7 @@ class FqElem:
         return None
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self.field.elem(other)
+        # No int coercion: equality mod p could not agree with any hash.
         if not isinstance(other, FqElem):
             return NotImplemented
         return self.code == other.code and (

@@ -289,31 +289,27 @@ def quotient_compat_check(pair: ExtensionPair) -> bool:
     For each line, the quotient by its annihilator H is cyclic of order p
     with a single break at the line's jump j, so the image of the upper
     filtration in G/H must be everything at heights v <= j and trivial
-    after.  Tested on a rational grid straddling every break and jump.
+    after.  Tested at u + 1 for every break and jump u, which meets
+    every height where the two sides can disagree.
     """
     all_lines = lines(pair)
     return _compat(pair.p, all_lines, _assemble_upper(pair.p, all_lines))
 
 
 def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
-    # Heights are probed doubled, as integers: every break and jump is an
-    # integer, so the probes u - 1/2, u and u + 1/2 are 2u - 1, 2u and
-    # 2u + 1, and the subgroup at height h / 2 follows the last break u
-    # with 2u < h, as in Filtration.subgroup_at.
-    probes = [2 * u for u in upper.break_values()]
-    probes += [2 * ln.jump for ln in all_lines]
-    heights = {0, max(probes) + 2}
-    for u in probes:
-        heights.update((u - 1, u, u + 1))
-    full = Subgroup.full(p)
-    images = []
-    for h in sorted(h for h in heights if h >= 0):
-        below = [sub for u, sub in upper.breaks if 2 * u < h]
-        images.append((h, below[-1] if below else full))
+    # Breaks and jumps are integers, and subgroup_at reads the breaks
+    # strictly below a height.  Up to the first break or jump both sides
+    # hold everywhere (the subgroup is G, which no H contains, and every
+    # v <= jump holds), and on each (n, n + 1] past it they take their
+    # values at n + 1, which change only after a break or jump u: so the
+    # heights u + 1 meet every change.
+    heights = {u + 1 for u in upper.break_values()}
+    heights.update(ln.jump + 1 for ln in all_lines)
+    images = [(h, upper.subgroup_at(h)) for h in heights]
     for ln in all_lines:
         h_sub = annihilator(ln.coeffs, p)
         for h, sub in images:
             # The image in G/H is everything exactly when sub is not in H.
-            if (h <= 2 * ln.jump) == sub.is_subset(h_sub):
+            if (h <= ln.jump) == sub.is_subset(h_sub):
                 return False
     return True

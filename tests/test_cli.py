@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -193,7 +194,8 @@ def test_sweep_parallel_matches_serial(capsys):
 
 def fake_pool(sizes):
     """A stand-in for ProcessPoolExecutor that records its size in sizes
-    and maps serially: no process starts."""
+    and maps serially, sending each chunk through pickle as the pool
+    would: no process starts."""
     class FakePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -204,8 +206,11 @@ def fake_pool(sizes):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            for i in range(0, len(items), chunksize):
+                chunk = pickle.loads(pickle.dumps(items[i:i + chunksize]))
+                yield from map(fn, chunk)
 
     return FakePool
 
@@ -216,8 +221,10 @@ def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
                         fake_pool(sizes))
     _, serial, _ = run_cli(sweep_args(), capsys)
     # (CPU count, --jobs, --count, pool size or None for a serial run)
+    # 4 pairs in shares of 2 need 2 workers, not 3
     for cpus, jobs, count, size in ((4, 100000, 8, 4), (16, 100000, 8, 8),
-                                    (4, 50, 1, None), (None, 3, 8, None)):
+                                    (4, 3, 4, 2), (4, 50, 1, None),
+                                    (None, 3, 8, None)):
         monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda c=cpus: c)
         sizes.clear()
         code, out, _ = run_cli(sweep_args(jobs=jobs, count=count), capsys)
@@ -229,17 +236,18 @@ def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
 
 def test_sweep_builds_its_field_once_per_process(monkeypatch, capsys):
     built = []
+    real_init = FieldParams.__init__
 
-    class CountingField(FieldParams):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
 
-    monkeypatch.setattr("vfunc.cli.FieldParams", CountingField)
+    monkeypatch.setattr(FieldParams, "__init__", counting_init)
     code, serial, _ = run_cli(sweep_args(), capsys)
     assert code == EXIT_OK
     assert len(built) == 1
-    # under --jobs each worker builds the field once for its share
+    # under --jobs the pairs of one chunk share one field, which unpickling
+    # builds once; the 8 pairs go in chunks of 4 (2 jobs) or 3, 3, 2 (3 jobs)
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         fake_pool(sizes))
@@ -250,6 +258,21 @@ def test_sweep_builds_its_field_once_per_process(monkeypatch, capsys):
         assert code == EXIT_OK
         assert sizes[-1] == jobs and len(built) == 1 + jobs
         assert out == serial
+
+
+def test_sweep_validates_each_pair_once(monkeypatch, capsys):
+    valid = []
+    real = vfunc.cli.validate_pair
+
+    def counted(*args):
+        pair = real(*args)
+        valid.append(pair)
+        return pair
+
+    monkeypatch.setattr("vfunc.cli.validate_pair", counted)
+    code, _, _ = run_cli(sweep_args(count=5), capsys)
+    assert code == EXIT_OK
+    assert len(valid) == 5
 
 
 def test_exit_code_parse_failures(tmp_path, capsys):

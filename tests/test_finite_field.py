@@ -159,6 +159,17 @@ def test_field_mismatch_rejected(f4, f9):
         f9.artin_schreier_solve(f4.one())
 
 
+def test_equal_values_hash_equal(f9):
+    values = list(f9.elements()) + list(range(9))
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    one = f9.one()
+    assert one != 1 and one != 4 and len({one, 1}) == 2
+    assert one + 1 == f9.elem(2) and 2 * one == f9.elem(2)
+
+
 def test_elements_enumeration_order(f4):
     vecs = [x.coeffs for x in f4.elements()]
     assert vecs == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from vfunc import InputError, LaurentPoly, NumberingMismatch
+from vfunc import (
+    InputError,
+    InternalCheckFailed,
+    LaurentPoly,
+    NumberingMismatch,
+)
 from vfunc.extension_algebra import validate_pair
 from vfunc.ramification import (
     Filtration,
     Subgroup,
+    _assemble_upper,
     _compat,
     annihilator,
     filtration_fingerprint,
@@ -352,6 +358,51 @@ def test_compat_rejects_a_moved_or_relabelled_break(f4):
                  if annihilator(ln.coeffs, 2) != sub)
     swapped = Filtration(numbering="upper", p=2, breaks=((u, other), last))
     assert not _compat(2, ls, swapped)
+
+
+def grid_compat(p, ls, upper):
+    """_compat's verdict read on a quarter-step grid of heights from 0 to 2
+    past the largest break or jump."""
+    top = max(upper.break_values() + [ln.jump for ln in ls]) + 2
+    grid = [Fraction(k, 4) for k in range(4 * top + 1)]
+    for ln in ls:
+        h_sub = annihilator(ln.coeffs, p)
+        for v in grid:
+            if (v <= ln.jump) == upper.subgroup_at(v).is_subset(h_sub):
+                return False
+    return True
+
+
+def variants(p, ls, upper):
+    """upper, the filtration with no break, and every filtration made from
+    upper by moving one break by up to 2 or relabelling its subgroup with a
+    line's annihilator."""
+    yield upper
+    yield Filtration("upper", p, ())
+    breaks = list(upper.breaks)
+    for i, (u, sub) in enumerate(breaks):
+        changed = [(u + d, sub) for d in (-2, -1, 1, 2) if u + d > 0]
+        changed += [(u, annihilator(ln.coeffs, p)) for ln in ls]
+        for b in changed:
+            try:
+                yield Filtration("upper", p,
+                                 tuple(breaks[:i] + [b] + breaks[i + 1:]))
+            except InternalCheckFailed:
+                pass
+
+
+def test_compat_probes_meet_every_change_on_a_rational_grid(f4, f9, f25):
+    verdicts = []
+    for field, reps in ((f4, 6), (f9, 4), (f25, 2)):
+        rng = make_rng(f"compat-grid-{field.p}")
+        for _ in range(reps):
+            ls = lines(random_pair(field, rng, -(field.p ** 2 + 1)))
+            for upper in variants(field.p, ls,
+                                  _assemble_upper(field.p, ls)):
+                verdict = _compat(field.p, ls, upper)
+                assert verdict == grid_compat(field.p, ls, upper)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_filtration_report_matches_the_public_functions(f4, f9):

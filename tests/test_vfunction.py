@@ -322,8 +322,8 @@ def test_sweep_solves_once_per_a(capsys, monkeypatch):
                      "--seed", "1", "--count", "16"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 17
     field = FieldParams(3, 2)
-    jobs = cli._sweep_jobs(field, 1, 16, 10)
-    n_a = len({a for a, _, _ in jobs})
+    pairs = cli._sweep_jobs(field, 1, 16, 10)
+    n_a = len({pair.a for pair in pairs})
     # the first condition once for the field, the second once per a
     assert calls == [(field, 9)] + [(field, 6)] * n_a
     assert n_a < 16
