@@ -86,7 +86,8 @@ def _load_job(path: str) -> ExtensionPair:
             data = json.load(fh)
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bytes that are not UTF-8, too deep nesting, too long an int
         raise _ParseFailure(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _ParseFailure("job file must contain a JSON object")

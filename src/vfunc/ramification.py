@@ -1,13 +1,13 @@
 """Ramification filtrations of the (Z/p)^2 extension attached to a pair.
 
 Every index-p subextension corresponds to a point (lambda : mu) of the
-projective line over F_p through the class of lambda*g1 + mu*g2, and its
-single ramification break is read off the valuation of the reduced
-representative.  The break data of the full group assembles from these
-degree-p pictures: the subgroup in upper numbering just after height u is
-the intersection of the annihilators of every line whose break is at most
-u.  Herbrand transition functions convert between upper and lower
-numbering with exact rational slopes.
+projective line over F_p through lambda*g1 + mu*g2, a member of J (as g1
+and g2 are, and J is an F_p-space) and so its own representative; its
+break is minus its valuation.  The break data of the full group assembles
+from these degree-p pictures: the subgroup in upper numbering just after
+height u is the intersection of the annihilators of every line whose
+break is at most u.  Herbrand transition functions convert between upper
+and lower numbering with exact rational slopes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckFailed, NumberingMismatch
 from .extension_algebra import ExtensionPair
-from .laurent import INFINITY, LaurentPoly, reduce_to_J
+# reduce_to_J is unused here, but perfbench/tests look it up in this
+# module's namespace; it goes when the benchmark drops that binding.
+from .laurent import INFINITY, LaurentPoly, reduce_to_J  # noqa: F401
 
 Rational = int | Fraction
 
@@ -82,7 +84,7 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class Line:
-    """Point (lambda : mu) of P^1(F_p) with its reduced class and break."""
+    """Point (lambda : mu) of P^1(F_p), its member of J and its break."""
 
     coeffs: tuple[int, int]
     rep: LaurentPoly
@@ -96,8 +98,8 @@ def lines(pair: ExtensionPair) -> list[Line]:
     for lam in range(1, p):
         pencil.append(((lam, 1), pencil[-1][1] + pair.g1))
     out = []
-    for coeffs, series in pencil:
-        rep, _ = reduce_to_J(series)
+    for coeffs, rep in pencil:
+        # the only guard should validation let a series outside J through
         val = rep.valuation()
         if val == INFINITY:
             raise InternalCheckFailed(
@@ -169,9 +171,10 @@ def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
     breaks = []
     current = Subgroup.full(p)
     for u in sorted({ln.jump for ln in ls}):
+        # current already meets the lines below u.
         nxt = current
         for ln in ls:
-            if ln.jump <= u:
+            if ln.jump == u:
                 nxt = nxt.intersect(annihilator(ln.coeffs, p))
         if nxt.order < current.order:
             breaks.append((u, nxt))
@@ -258,11 +261,6 @@ def filtration_report(pair: ExtensionPair) -> tuple[Filtration, Filtration, bool
     return upper, _lower_from_upper(upper), _compat(pair.p, all_lines, upper)
 
 
-def _format_value(u: Rational) -> str:
-    f = Fraction(u)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def filtration_fingerprint(filt: Filtration, orders_only: bool = False) -> str:
     """Canonical string; equal strings mean equal filtrations.
 
@@ -274,7 +272,7 @@ def filtration_fingerprint(filt: Filtration, orders_only: bool = False) -> str:
     """
     parts = []
     for u, sub in filt.breaks:
-        head = f"{_format_value(u)}:{sub.order}"
+        head = f"{u}:{sub.order}"
         if orders_only:
             parts.append(head)
         else:

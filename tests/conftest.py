@@ -157,6 +157,14 @@ def sweep_pair(field: FieldParams, rng: random.Random,
     return capped_draw(draw)
 
 
+def unchecked_pair(field, a, g1, g2) -> ExtensionPair:
+    """An ExtensionPair built without running its validation."""
+    pair = object.__new__(ExtensionPair)
+    for name, value in (("field", field), ("a", a), ("g1", g1), ("g2", g2)):
+        object.__setattr__(pair, name, value)
+    return pair
+
+
 # -- matrices as lists of rows -----------------------------------------------
 
 def matvec(field: FieldParams, rows, vec) -> list[LaurentPoly]:

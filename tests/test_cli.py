@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import vfunc
-from vfunc import ramification, vfunction
+from vfunc import vfunction
 from vfunc.cli import (
     _MAX_DRAWS,
     EXIT_INVALID,
@@ -25,7 +25,8 @@ from vfunc.cli import (
 from vfunc.errors import G2DependentOnG1, LatticeAssertionFailed
 from vfunc.extension_algebra import MAX_TERMS, LElement
 from vfunc.finite_field import FieldParams
-from vfunc.laurent import LaurentPoly
+
+from conftest import unchecked_pair
 
 
 def run_cli(argv, capsys):
@@ -297,6 +298,20 @@ def test_exit_code_parse_failures(tmp_path, capsys):
         assert code == EXIT_PARSE and "parse error" in err, bad
 
 
+@pytest.mark.parametrize("payload", [
+    b'{"p": 2, "n": 2, "a": "\xff\xfe"}',  # bytes that are not UTF-8
+    b"[" * 100_000,                        # nesting past the recursion limit
+    b'{"p": ' + b"1" * 5000 + b"}",        # past the 4300-digit int limit
+], ids=["not-utf8", "deep", "long-int"])
+def test_unreadable_job_files_exit_parse(tmp_path, capsys, payload):
+    path = tmp_path / "job.json"
+    path.write_bytes(payload)
+    code, out, err = run_cli(["v", "--input", str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
 def test_exit_code_validation_failures(tmp_path, capsys):
     zero_g1 = write_job(tmp_path, "zero.json",
                         {"p": 2, "n": 2, "a": "0,1", "g1": [],
@@ -412,21 +427,22 @@ def test_internal_check_failure_exits_mismatch(tmp_path, capsys,
                    "s' = 8 is divisible by p^2\n")
 
 
-def test_missing_artin_schreier_root_exits_mismatch(tmp_path, capsys,
-                                                    monkeypatch):
-    # Lines of a valid pair have no constant term, so give each one the
-    # trace-zero constant 1 of F_4 for reduce_to_J to remove.
-    reduce_to_J = ramification.reduce_to_J
-    monkeypatch.setattr(ramification, "reduce_to_J",
-                        lambda g: reduce_to_J(g + LaurentPoly.one(g.field)))
-    monkeypatch.setattr(FieldParams, "artin_schreier_solve",
-                        lambda self, c: None)
-    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+@pytest.mark.parametrize("g2, message", [
+    # p | 4: g2 lies outside J, and lines() does not reduce it
+    ([[-4, "0,1"], [-1, "1,0"]], "line break 4 outside J range"),
+    # g2 = g1: the member g1 + g2 vanishes
+    ([[-3, "1,0"]], "a line of a valid pair reduced to zero"),
+], ids=["p-divides-jump", "zero-member"])
+def test_line_check_failure_exits_mismatch(tmp_path, capsys, monkeypatch,
+                                           g2, message):
+    # Built past validation, the lines' own checks are the only guard.
+    monkeypatch.setattr("vfunc.cli.validate_pair", unchecked_pair)
+    path = write_job(tmp_path, "job.json",
+                     dict(COUNTEREXAMPLE_JOB, g1=[[-3, "1,0"]], g2=g2))
     code, out, err = run_cli(["filtration", "--input", path], capsys)
     assert code == EXIT_MISMATCH
     assert out == ""
-    assert err == ("internal check failed: InternalCheckFailed: no "
-                   "Artin-Schreier root of trace-zero constant 1,0\n")
+    assert err == f"internal check failed: InternalCheckFailed: {message}\n"
 
 
 def test_oracle_basis_outside_theta_exits_mismatch(tmp_path, capsys,

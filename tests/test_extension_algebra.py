@@ -23,7 +23,6 @@ from vfunc.extension_algebra import (
     MAX_TERMS,
     SIGMA,
     TAU,
-    ExtensionPair,
     LElement,
     act,
     act_on_terms,
@@ -39,6 +38,7 @@ from conftest import (
     mult_matrix,
     random_laurent,
     random_pair,
+    unchecked_pair,
 )
 
 
@@ -440,14 +440,6 @@ def test_valuation_checks_trip_on_a_broken_action(f9, monkeypatch):
                         lambda field, g, x: x)
     with pytest.raises(InternalCheckFailed, match="K\\(beta\\)"):
         LElement.alpha(pair).valuation()
-
-
-def unchecked_pair(field, a, g1, g2) -> ExtensionPair:
-    """An ExtensionPair built without running its validation."""
-    pair = object.__new__(ExtensionPair)
-    for name, value in (("field", field), ("a", a), ("g1", g1), ("g2", g2)):
-        object.__setattr__(pair, name, value)
-    return pair
 
 
 def test_valuation_needs_the_pole_order_of_g2_prime_to_p(f9):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from vfunc.extension_algebra import LElement, act, validate_pair
 from vfunc.finite_field import FieldParams
-from vfunc.laurent import LaurentPoly
-from vfunc.ramification import quotient_compat_check
+from vfunc.laurent import LaurentPoly, reduce_to_J
+from vfunc.ramification import lines, quotient_compat_check
 from vfunc.vfunction import v_formula, v_oracle
 
 from conftest import capped_draw, reference_mul
@@ -134,6 +134,20 @@ def test_quotient_compatibility_holds(field, data):
     pair = data.draw(valid_pairs(field, max_pole=field.p ** 2 + 2,
                                  max_terms=3))
     assert quotient_compat_check(pair)
+
+
+@over(SMALL_FIELDS + [FieldParams(7, 2)])
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_lines_are_their_own_J_representatives(field, data):
+    """lines() takes each pencil member as it is: reduce_to_J, the
+    J-normal form, must find nothing to remove from it."""
+    pair = data.draw(valid_pairs(field, max_pole=field.p ** 2 + 2,
+                                 max_terms=3))
+    for ln in lines(pair):
+        lam, mu = ln.coeffs
+        rep, witness = reduce_to_J(lam * pair.g1 + mu * pair.g2)
+        assert ln.rep == rep and witness.is_zero()
 
 
 @over(SMALL_FIELDS)

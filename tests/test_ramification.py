@@ -144,6 +144,20 @@ def test_lines_reduce_representatives(f9):
         assert ln.rep == lam * pair.g1 + mu * pair.g2
 
 
+
+def test_filtration_routes_reduce_nothing(f9, monkeypatch):
+    """Pencil members of a valid pair lie in J already, so no filtration
+    route runs reduce_to_J, through either module's binding."""
+    def refuse(g):
+        raise AssertionError("reduce_to_J called")
+
+    monkeypatch.setattr("vfunc.ramification.reduce_to_J", refuse)
+    monkeypatch.setattr("vfunc.laurent.reduce_to_J", refuse)
+    pair = random_pair(f9, make_rng("no-reduce"), -8)
+    for route in (lines, upper_filtration, lower_filtration,
+                  quotient_compat_check, filtration_report):
+        route(pair)
+
 # -- annihilators ------------------------------------------------------------
 
 def test_annihilator_examples(f4):
