@@ -44,6 +44,10 @@ class TooManyTerms(InputError):
     """A defining series has more terms than MAX_TERMS allows."""
 
 
+class PoleTooDeep(InputError):
+    """A defining series has a pole deeper than MAX_POLE_ORDER allows."""
+
+
 class MixedExtensions(InputError):
     """Operands belong to different extension pairs or different fields."""
 

@@ -17,10 +17,13 @@ powers of beta are an orthogonal basis and v_L is read off the tau-orbit
 product's coordinates (LElement.valuation).  They stay meaningful for every
 pair accepted by validation without ever constructing a uniformizer.
 
-An element is held on F_q codes alone (see finite_field), as Codes,
-{index: {exponent: code}} with nonzero entries only.  Sums, products, the
-action and norms run on it through FieldParams.accumulate, so none of them
-builds an intermediate LaurentPoly or FqElem; a LaurentPoly holds codes too.
+An element is held on F_q codes alone (see finite_field), as Codes: one
+flat row {e*p^2 + i*p + j: code} of its nonzero terms g^code t^e alpha^i
+beta^j, as a LaurentPoly is one row {e: code}.  key // p^2 is e and
+key % p^2 the monomial index i*p + j, exact for negative e too, so a
+constant's key is its monomial index.  Sums, products, the action and
+norms are FieldParams.accumulate calls on such rows, so none of them
+builds an intermediate LaurentPoly or FqElem.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     InternalCheckFailed,
     MixedExtensions,
     NotInJ,
+    PoleTooDeep,
     TooManyTerms,
 )
 # det is unused here, but perfbench/tests look it up in this module's
@@ -50,15 +54,19 @@ from .laurent import INFINITY, LaurentPoly
 SIGMA = (1, 0)
 TAU = (0, 1)
 
-#: An element of L as LElement holds it, {i*p + j: {exponent: code}}:
-#: nonzero entries only, and no coordinate left empty.
-Codes = dict[int, dict[int, int]]
+#: An element of L as LElement holds it: {e*p^2 + i*p + j: code} for each
+#: nonzero term g^code t^e alpha^i beta^j.
+Codes = dict[int, int]
 
 #: Most terms g1 or g2 may have; a longer series raises TooManyTerms up
 #: front, so every accepted input has a known size.  At the cap the cost
-#: per pair is set by p, not by the terms: at p = 61, v_oracle took 77 ms
-#: at pole order 64 and 85 ms at 256, upper_filtration 3 and 10 ms.
+#: per pair is set by p, not by the terms: at p = 61, v_oracle took 42 ms
+#: at pole order 64 and 46 ms at 256, upper_filtration 1.5 and 5 ms.
 MAX_TERMS = 256
+
+#: Largest pole order -v_K of g1 or g2; a deeper one raises PoleTooDeep up
+#: front, so s, v and every break stay integers that print.
+MAX_POLE_ORDER = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -74,16 +82,17 @@ class ExtensionPair:
         if self.a.field != self.field or self.g1.field != self.field \
                 or self.g2.field != self.field:
             raise InputError("pair components over different fields")
+        if self.a.is_in_prime_field():
+            raise AInPrimeField(f"a = {self.a} lies in the prime field")
         for name, g in (("g1", self.g1), ("g2", self.g2)):
             if len(g.codes) > MAX_TERMS:
                 raise TooManyTerms(f"{name} has {len(g.codes)} terms, more "
                                    f"than MAX_TERMS = {MAX_TERMS}")
-        if self.a.is_in_prime_field():
-            raise AInPrimeField(f"a = {self.a} lies in the prime field")
-        if not self.g1.is_in_J():
-            raise NotInJ(f"g1 = {self.g1} is not in J")
-        if not self.g2.is_in_J():
-            raise NotInJ(f"g2 = {self.g2} is not in J")
+            if g.valuation() < -MAX_POLE_ORDER:
+                raise PoleTooDeep(f"{name} has a pole deeper than "
+                                  f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")
+            if not g.is_in_J():
+                raise NotInJ(f"{name} = {g} is not in J")
         if self.g1.is_zero():
             raise G1Zero("g1 must be nonzero")
         for c in range(self.field.p):
@@ -101,48 +110,57 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
     return ExtensionPair(field, a, g1, g2)
 
 
-def add_scaled(field: FieldParams, acc: Codes, k: int, x: Codes) -> None:
-    """acc += g^k * x in place, on codes; a coordinate that cancels leaves
-    acc."""
-    for idx, row in x.items():
-        cell = acc.setdefault(idx, {})
-        field.accumulate(cell, k, row.items())
-        if not cell:
-            del acc[idx]
+@lru_cache(maxsize=64)
+def _grid(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_mul's padded grid for one p, with w = 2p - 1: the grid offset
+    I*w + J of each monomial index i*p + j, and back, by offset, the
+    index I*p + J, a monomial's once I, J < p."""
+    w = 2 * p - 1
+    return (tuple(idx // p * w + idx % p for idx in range(p * p)),
+            tuple(r // w * p + r % w for r in range(w * w)))
 
 
 def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
     """x * y in L, on codes.
 
-    The coordinate products go into a grid {(I, J): row} of alpha^I beta^J,
-    I, J <= 2p - 2, which is then reduced modulo alpha^p = alpha + g1 and
-    beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p) with
-    k - p + 1 < p, so one pass per generator leaves only exponents below p.
+    Each term of the shorter operand goes against all of the other, one
+    accumulate call per term, on a grid keyed e*w^2 + I*w + J for
+    t^e alpha^I beta^J, w = 2p - 1: I, J <= 2p - 2 < w, so keys add
+    without carries.  The grid is then reduced modulo alpha^p = alpha + g1
+    and beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p)
+    with k - p + 1 < p, so one pass per generator leaves only exponents
+    below p.
     """
-    p, field = pair.p, pair.field
+    p, field, w = pair.p, pair.field, 2 * pair.p - 1
+    p2, w2 = p * p, w * w
+    to_grid, back = _grid(p)
     accumulate = field.accumulate
-    grid: dict[tuple[int, int], dict[int, int]] = {}
-    ys = [(divmod(idx, p), list(row.items())) for idx, row in y.items()]
-    for idx, row in x.items():
-        i1, j1 = divmod(idx, p)
-        for (i2, j2), row2 in ys:
-            cell = grid.setdefault((i1 + i2, j1 + j2), {})
-            for e, k in row.items():
-                accumulate(cell, k, row2, e)
-    one = field.one().code
-    for i, j in [key for key in grid if key[0] >= p]:
-        cell = grid.pop((i, j)).items()
-        accumulate(grid.setdefault((i - p + 1, j), {}), one, cell)
-        low = grid.setdefault((i - p, j), {})
-        for e, k in pair.g1.codes:
-            accumulate(low, k, cell, e)
-    for i, j in [key for key in grid if key[1] >= p]:
-        cell = grid.pop((i, j)).items()
-        accumulate(grid.setdefault((i, j - p + 1), {}), one, cell)
-        low = grid.setdefault((i, j - p), {})
-        for e, k in pair.g2.codes:
-            accumulate(low, k, cell, e)
-    return {i * p + j: cell for (i, j), cell in grid.items() if cell}
+    if len(x) > len(y):
+        x, y = y, x
+    ys = [(key // p2 * w2 + to_grid[key % p2], k) for key, k in y.items()]
+    grid: dict[int, int] = {}
+    for key, k in x.items():
+        accumulate(grid, k, ys, key // p2 * w2 + to_grid[key % p2])
+    # alpha^I sits at step w and beta^J at step 1 of a key; code 0 is g^0 = 1
+    for step, g in ((w, pair.g1), (1, pair.g2)):
+        high = [(key, k) for key, k in grid.items()
+                if key % (step * w) >= p * step]
+        for key, _ in high:
+            del grid[key]
+        accumulate(grid, 0, high, (1 - p) * step)
+        for e, k in g.codes:
+            accumulate(grid, k, high, e * w2 - p * step)
+    return {key // w2 * p2 + back[key % w2]: k for key, k in grid.items()}
+
+
+def _orbit_product(pair: ExtensionPair, x: Codes,
+                   g: tuple[int, int]) -> Codes:
+    """x * g(x) * ... * g^(p-1)(x), on codes: the p - 1 products of the
+    norm down to the fixed field of g."""
+    y = x
+    for k in range(1, pair.p):
+        y = _mul(pair, y, act_on_terms(pair.field, (k * g[0], k * g[1]), x))
+    return y
 
 
 class LElement:
@@ -160,8 +178,7 @@ class LElement:
                 raise InputError(f"coordinate index outside 0..{n - 1}")
             if f.field != field:
                 raise InputError("coordinate over another field")
-            if f.codes:
-                codes[idx] = dict(f.codes)
+            codes.update((e * n + idx, k) for e, k in f.codes)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "codes", codes)
 
@@ -222,13 +239,16 @@ class LElement:
     @property
     def terms(self) -> tuple[tuple[int, LaurentPoly], ...]:
         """The nonzero coordinates as (i*p + j, coefficient), by index."""
-        field = self.pair.field
-        return tuple((idx, LaurentPoly.from_codes(field, row))
-                     for idx, row in sorted(self.codes.items()))
+        n = self.pair.p ** 2
+        rows: dict[int, dict[int, int]] = {}
+        for key, k in self.codes.items():
+            rows.setdefault(key % n, {})[key // n] = k
+        return tuple((idx, LaurentPoly.from_codes(self.pair.field, row))
+                     for idx, row in sorted(rows.items()))
 
     def coeff(self, i: int, j: int) -> LaurentPoly:
-        return LaurentPoly.from_codes(
-            self.pair.field, self.codes.get(i * self.pair.p + j, {}))
+        return dict(self.terms).get(i * self.pair.p + j,
+                                    LaurentPoly.zero(self.pair.field))
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -239,9 +259,8 @@ class LElement:
         return self.pair == other.pair and self.codes == other.codes
 
     def __hash__(self) -> int:
-        # codes fill in the order of operations, so the hash reads sets
-        return hash((self.pair, frozenset(
-            (idx, frozenset(row.items())) for idx, row in self.codes.items())))
+        # codes fill in the order of operations, so the hash reads a set
+        return hash((self.pair, frozenset(self.codes.items())))
 
     def _check(self, other: LElement) -> None:
         if self.pair != other.pair:
@@ -252,8 +271,8 @@ class LElement:
         if not isinstance(other, LElement):
             return NotImplemented
         self._check(other)
-        acc = {idx: dict(row) for idx, row in self.codes.items()}
-        add_scaled(self.pair.field, acc, k, other.codes)
+        acc = dict(self.codes)
+        self.pair.field.accumulate(acc, k, other.codes.items())
         return LElement.from_codes(self.pair, acc)
 
     def __add__(self, other: LElement) -> LElement:
@@ -296,17 +315,12 @@ class LElement:
     def _tau_orbit_product(self) -> Codes:
         """N_{L/K(beta)}(self) = prod_j tau^j(self), on codes.
 
-        The product is tau-fixed, so it lies in K(beta): a coordinate off
-        the powers of beta raises InternalCheckFailed.  Its p - 1 products
-        run on codes.
+        The product is tau-fixed, so it lies in K(beta): a term off the
+        powers of beta (key % p^2 >= p) raises InternalCheckFailed.
         """
-        pair = self.pair
-        p, field = pair.p, pair.field
-        x = self.codes
-        y = x
-        for j in range(1, p):
-            y = _mul(pair, y, act_on_terms(field, (0, j), x))
-        if any(idx >= p for idx in y):
+        p = self.pair.p
+        y = _orbit_product(self.pair, self.codes, TAU)
+        if any(key % (p * p) >= p for key in y):
             raise InternalCheckFailed("tau-orbit product is not in K(beta)")
         return y
 
@@ -315,17 +329,14 @@ class LElement:
 
         y = prod_j tau^j(self) lies in K(beta) (_tau_orbit_product), and
         prod_i sigma^i(y) is fixed by the whole group, so it lies in K.  A
-        coordinate off K raises InternalCheckFailed.
+        term off K (key % p^2 != 0) raises InternalCheckFailed.
         """
-        pair = self.pair
-        p, field = pair.p, pair.field
-        y = self._tau_orbit_product()
-        n = y
-        for i in range(1, p):
-            n = _mul(pair, n, act_on_terms(field, (i, 0), y))
-        if any(n):
+        n = self.pair.p ** 2
+        y = _orbit_product(self.pair, self._tau_orbit_product(), SIGMA)
+        if any(key % n for key in y):
             raise InternalCheckFailed("sigma-orbit product is not in K")
-        return LaurentPoly.from_codes(field, n.get(0, {}))
+        return LaurentPoly.from_codes(self.pair.field,
+                                      {key // n: k for key, k in y.items()})
 
     def valuation(self):
         """v_L, normalized so v_L(t) = p^2; INFINITY on zero.
@@ -342,7 +353,7 @@ class LElement:
         j2 <= 0 or p | j2 breaks the lemma's hypothesis, which validation
         rules out, and raises InternalCheckFailed.
         """
-        p = self.pair.p
+        p, n = self.pair.p, self.pair.p ** 2
         j2 = -self.pair.g2.valuation()
         if j2 <= 0 or j2 % p == 0:
             raise InternalCheckFailed(
@@ -351,7 +362,8 @@ class LElement:
         y = self._tau_orbit_product()
         if not y:
             return INFINITY
-        return min(p * min(row) - k * j2 for k, row in y.items())
+        # a term's key is e*p^2 + k for g^code t^e beta^k
+        return min(p * (key // n) - key % n * j2 for key in y)
 
     def __repr__(self) -> str:
         p = self.pair.p
@@ -376,23 +388,24 @@ def act_on_terms(field: FieldParams, g: tuple[int, int], x: Codes) -> Codes:
     exponents may be unreduced or negative.
 
     alpha -> alpha + j and beta -> beta + i, so alpha^k beta^l goes to
-    sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.
+    sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.  Each monomial's
+    image is built once per call, and each term adds it scaled and shifted.
     """
-    p, units = field.p, field.q - 1
-    accumulate = field.accumulate
+    p, n, units = field.p, field.p ** 2, field.q - 1
     alpha_rows = _shift_rows(field, g[1] % p)
     beta_rows = _shift_rows(field, g[0] % p)
+    images: dict[int, list[tuple[int, int]]] = {}
     acc: Codes = {}
-    for idx, row in x.items():
-        k, l = divmod(idx, p)
-        items = row.items()
-        beta_row = beta_rows[l]
-        for m, am in alpha_rows[k]:
-            for r, b in beta_row:
-                s = am + b
-                accumulate(acc.setdefault(m * p + r, {}),
-                           s - units if s >= units else s, items)
-    return {idx: cell for idx, cell in acc.items() if cell}
+    for key, k in x.items():
+        e, idx = divmod(key, n)
+        image = images.get(idx)
+        if image is None:
+            beta_row = beta_rows[idx % p]
+            image = images[idx] = [
+                (m * p + r, s - units if (s := am + b) >= units else s)
+                for m, am in alpha_rows[idx // p] for r, b in beta_row]
+        field.accumulate(acc, k, image, e * n)
+    return acc
 
 
 def act(g: tuple[int, int], x: LElement) -> LElement:

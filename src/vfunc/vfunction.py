@@ -51,7 +51,7 @@ from typing import Iterable
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
 from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
-                                act_on_terms, add_scaled)
+                                act_on_terms)
 from .finite_field import MAX_Q, FieldParams, FqElem
 from .laurent import INFINITY, LaurentPoly
 
@@ -106,7 +106,7 @@ def v_formula(pair: ExtensionPair) -> VResult:
 def _diff(field: FieldParams, g: tuple[int, int], y: Codes) -> Codes:
     """y (g - 1) for y on F_q codes, as codes."""
     out = act_on_terms(field, g, y)
-    add_scaled(field, out, field.elem(-1).code, y)
+    field.accumulate(out, field.elem(-1).code, y.items())
     return out
 
 
@@ -116,8 +116,8 @@ def _first_image(field: FieldParams, m: Codes, ds: Codes) -> Codes:
     denser ds, keeps the cost on a monomial O(p).  a does not enter."""
     minus_one = field.elem(-1).code
     out = _diff(field, (2, 0), m)
-    add_scaled(field, out, minus_one, ds)
-    add_scaled(field, out, minus_one, ds)
+    field.accumulate(out, minus_one, ds.items())
+    field.accumulate(out, minus_one, ds.items())
     return out
 
 
@@ -125,18 +125,24 @@ def _second_image(field: FieldParams, a: FqElem, ds: Codes,
                   dt: Codes) -> Codes:
     """m (tau - 1) - a * m (sigma - 1), the image of the second condition,
     given ds = m (sigma - 1) and dt = m (tau - 1); written into dt."""
-    add_scaled(field, dt, (-a).code, ds)
+    field.accumulate(dt, (-a).code, ds.items())
     return dt
 
 
-def _matrix(field: FieldParams, nrows: int,
+def _matrix(field: FieldParams,
             columns: Iterable[Codes]) -> list[dict[int, FqElem]]:
-    """{column: nonzero entry} rows of the matrix whose k-th column is the
-    k-th of columns, each an element with constant coordinates on codes."""
-    rows: list[dict[int, FqElem]] = [{} for _ in range(nrows)]
+    """{column: nonzero entry} rows of the p^2-row matrix whose k-th column
+    is the k-th of columns, each an element with constant coordinates on
+    codes, keyed by monomial index.  A key outside 0..p^2 - 1 is a term
+    off the constants and raises InternalCheckFailed."""
+    n = field.p ** 2
+    rows: list[dict[int, FqElem]] = [{} for _ in range(n)]
     for k, column in enumerate(columns):
-        for idx, row in column.items():
-            rows[idx][k] = field.from_code(row[0])
+        for key, code in column.items():
+            if not 0 <= key < n:
+                raise InternalCheckFailed(
+                    f"condition image has a non-constant term, key {key}")
+            rows[key][k] = field.from_code(code)
     return rows
 
 
@@ -145,36 +151,26 @@ def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
     F_q, as {column: nonzero entry} rows: column idx holds the images of
     the monomial with index idx and coefficient 1, the first condition
     above the second.  The action and the scaling by a keep coefficients
-    constant, so every image coordinate is a row {0: code}.  Only
-    pair.field and pair.a enter.
+    constant, so every image key is a monomial index.  Only pair.field
+    and pair.a enter.
 
     The oracle does not call it: it is the full solve, the reference that
     the tests hold the two-stage solve (_theta_solution) to."""
-    field, n = pair.field, pair.p ** 2
+    field = pair.field
     one = field.one().code
-
-    def column(col: int) -> Codes:
-        m = {col: {0: one}}
+    first, second = [], []
+    for col in range(pair.p ** 2):
+        m = {col: one}
         ds = _diff(field, SIGMA, m)
-        first = _first_image(field, m, ds)
-        second = _second_image(field, pair.a, ds, _diff(field, TAU, m))
-        first.update((n + idx, row) for idx, row in second.items())
-        return first
-
-    return _matrix(field, 2 * n, map(column, range(n)))
+        first.append(_first_image(field, m, ds))
+        second.append(_second_image(field, pair.a, ds, _diff(field, TAU, m)))
+    return _matrix(field, first) + _matrix(field, second)
 
 
-#: A vector over F_q on the monomial basis as (index, code) pairs of its
-#: nonzero constant coordinates, in the order it was built.
+#: A kept vector over F_q on the monomial basis: the items of its Codes,
+#: (index, code) pairs of its nonzero constant coordinates, in the order
+#: they were built.
 Vector = tuple[tuple[int, int], ...]
-
-
-def _vector(x: Codes) -> Vector:
-    return tuple((i, row[0]) for i, row in x.items())
-
-
-def _codes(v: Vector) -> Codes:
-    return {i: {0: c} for i, c in v}
 
 
 @lru_cache(maxsize=64)
@@ -192,14 +188,14 @@ def _first_condition(
     one = field.one().code
 
     def column(col: int) -> Codes:
-        m = {col: {0: one}}
+        m = {col: one}
         return _first_image(field, m, _diff(field, SIGMA, m))
 
     out = []
-    for v in kernel(field, _matrix(field, n, map(column, range(n))), n):
-        m = {i: {0: c.code} for i, c in v.items()}
-        out.append((_vector(m), _vector(_diff(field, SIGMA, m)),
-                    _vector(_diff(field, TAU, m))))
+    for v in kernel(field, _matrix(field, map(column, range(n))), n):
+        m = {i: c.code for i, c in v.items()}
+        out.append((tuple(m.items()), tuple(_diff(field, SIGMA, m).items()),
+                    tuple(_diff(field, TAU, m).items())))
     return tuple(out)
 
 
@@ -218,15 +214,14 @@ def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
     q <= MAX_Q values per field, so one field's values all fit.
     """
     first = _first_condition(field)
-    rows = _matrix(field, field.p ** 2,
-                   (_second_image(field, a, _codes(ds), _codes(dt))
-                    for _, ds, dt in first))
+    rows = _matrix(field, (_second_image(field, a, dict(ds), dict(dt))
+                           for _, ds, dt in first))
     basis = []
     for c in kernel(field, rows, len(first)):
         m: Codes = {}
         for k, x in c.items():
-            add_scaled(field, m, x.code, _codes(first[k][0]))
-        basis.append(_vector(m))
+            field.accumulate(m, x.code, first[k][0])
+        basis.append(tuple(m.items()))
     if len(basis) != 2:
         raise InternalCheckFailed(
             f"solution space has dimension {len(basis)}, expected 2")
@@ -252,7 +247,7 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     divisible by p^2) would break the lattice splitting and raises.
     """
     p = pair.p
-    m1, m2 = (LElement.from_codes(pair, _codes(v))
+    m1, m2 = (LElement.from_codes(pair, dict(v))
               for v in _theta_solution(pair.field, pair.a))
     val = m2.valuation()
     if val == INFINITY:

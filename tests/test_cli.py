@@ -343,6 +343,36 @@ def test_job_over_the_term_cap_exits_invalid(tmp_path, capsys):
             assert out == ""
 
 
+def test_job_with_a_pole_past_the_cap_exits_invalid(tmp_path, capsys):
+    """A 4300-digit exponent passes json.load, but s and the lower break
+    it gives have more digits than int to str converts.  Validation
+    rejects the pole order before any route runs."""
+    exponent = "-" + "9" * 4299 + "7"
+    path = write_job(tmp_path, "deep.json",
+                     '{"p": 2, "n": 2, "a": "0,1", "g1": [[' + exponent
+                     + ', "1,0"]], "g2": [[-1, "0,1"]]}')
+    for command in ("v", "filtration"):
+        code, out, err = run_cli([command, "--input", path], capsys)
+        assert code == EXIT_INVALID and "PoleTooDeep" in err
+        assert out == ""
+
+
+def test_non_constant_condition_image_exits_mismatch(tmp_path, capsys,
+                                                     monkeypatch):
+    # An action that also multiplies by t puts a condition image off the
+    # constants: a fault, so exit 4 with a message, not a traceback.
+    real = vfunction.act_on_terms
+    monkeypatch.setattr(
+        vfunction, "act_on_terms",
+        lambda field, g, x: {key + field.p ** 2: k
+                             for key, k in real(field, g, x).items()})
+    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+    code, out, err = run_cli(["v", "--input", path], capsys)
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.startswith("internal check failed: InternalCheckFailed: ")
+    assert "non-constant" in err
+
+
 def test_sweep_max_degree_over_the_term_cap_exits_invalid(monkeypatch,
                                                           capsys):
     """At p = 2, D = 2 * MAX_TERMS allows MAX_TERMS exponents and one more

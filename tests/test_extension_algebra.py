@@ -15,11 +15,13 @@ from vfunc import (
     LaurentPoly,
     MixedExtensions,
     NotInJ,
+    PoleTooDeep,
     SamplingExhausted,
     TooManyTerms,
 )
 from vfunc.exact_linalg import det
 from vfunc.extension_algebra import (
+    MAX_POLE_ORDER,
     MAX_TERMS,
     SIGMA,
     TAU,
@@ -69,6 +71,27 @@ def test_validation_rejects_bad_pairs(f4, f9):
         validate_pair(f9, u, h, 2 * h)
     with pytest.raises(G2DependentOnG1):
         validate_pair(f9, u, h, LaurentPoly.zero(f9))
+
+
+def test_pole_order_is_capped(f9):
+    """Pole order MAX_POLE_ORDER passes; one deeper is rejected before the
+    J and dependence checks, so even g2 = g1 reports the pole."""
+    u = f9.gen()
+    at_cap = LaurentPoly.t_pow(f9, -MAX_POLE_ORDER)
+    deeper = LaurentPoly.t_pow(f9, -MAX_POLE_ORDER - 1, u)
+    short = LaurentPoly.t_pow(f9, -1)
+    assert MAX_POLE_ORDER % 3 and (MAX_POLE_ORDER + 1) % 3
+    validate_pair(f9, u, at_cap, short)
+    validate_pair(f9, u, short, at_cap)
+    with pytest.raises(PoleTooDeep):
+        validate_pair(f9, u, deeper, short)
+    with pytest.raises(PoleTooDeep):
+        validate_pair(f9, u, short, deeper + short)
+    with pytest.raises(PoleTooDeep):
+        validate_pair(f9, u, deeper, deeper)
+    with pytest.raises(PoleTooDeep):
+        validate_pair(f9, u, LaurentPoly.t_pow(f9, -3 * MAX_POLE_ORDER),
+                      short)
 
 
 def test_term_count_is_capped(f4):
@@ -159,28 +182,25 @@ def test_action_on_codes_matches_the_binomial_formula():
     F_q, for p = 2..13 and exponent pairs unreduced or negative."""
     rng = make_rng("act-codes")
     for p in (2, 3, 5, 7, 11, 13):
-        field = FieldParams(p, 2)
+        field, n = FieldParams(p, 2), p * p
         for _ in range(6):
             x = {}
-            for idx in rng.sample(range(p * p), rng.randint(1, 4)):
-                x[idx] = {e: rng.randrange(field.q - 1)
-                          for e in rng.sample(range(-3, 3), rng.randint(1, 3))}
+            for idx in rng.sample(range(n), rng.randint(1, 4)):
+                for e in rng.sample(range(-3, 3), rng.randint(1, 3)):
+                    x[e * n + idx] = rng.randrange(field.q - 1)
             g = (rng.randint(-2 * p, 2 * p), rng.randint(-2 * p, 2 * p))
             expected = {}
-            for idx, row in x.items():
-                k, l = divmod(idx, p)
+            for key, code in x.items():
+                e, (k, l) = key // n, divmod(key % n, p)
                 for m in range(k + 1):
                     for r in range(l + 1):
                         s = (comb(k, m) * comb(l, r) * g[1] ** (k - m)
                              * g[0] ** (l - r)) % p
-                        cell = expected.setdefault(m * p + r, {})
-                        for e, code in row.items():
-                            c = field.from_code(code) * s
-                            cell[e] = cell.get(e, field.zero()) + c
-            expected = {idx: {e: c.code for e, c in cell.items() if c}
-                        for idx, cell in expected.items()}
+                        out = e * n + m * p + r
+                        expected[out] = (expected.get(out, field.zero())
+                                         + field.from_code(code) * s)
             assert act_on_terms(field, g, x) == {
-                idx: cell for idx, cell in expected.items() if cell}
+                key: c.code for key, c in expected.items() if c}
 
 
 def random_element(pair, rng, lo=-4, hi=3, density=0.4):
@@ -260,7 +280,7 @@ def test_equal_elements_hash_equal_across_operation_orders(f9):
     x, y, z = (random_element(pair, rng) for _ in range(3))
 
     def order(el):
-        return [(idx, list(row)) for idx, row in el.codes.items()]
+        return list(el.codes)
 
     cases = [((x + y) + z, x + (y + z)), (x + y, y + x), (x * y, y * x),
              ((x - y) + y, x), (act(SIGMA, x + y), act(SIGMA, y) + act(SIGMA, x))]

@@ -5,6 +5,7 @@ import pytest
 from vfunc import (
     INFINITY,
     InputError,
+    InternalCheckFailed,
     LaurentPoly,
     NotInTheta,
 )
@@ -106,6 +107,25 @@ def test_conditions_matrix_shape_and_constancy(f4, f9):
                 assert not x.is_zero()
 
 
+@pytest.mark.parametrize("e", [1, -1])
+def test_non_constant_condition_images_raise(f9, monkeypatch, e):
+    """Both solves read a constant's key as its monomial index.  With an
+    action that also multiplies by t^e, the images leave the constants:
+    the keys e*p^2 + idx must raise InternalCheckFailed, not land in
+    another row or in the second block, on a cold cache."""
+    import vfunc.vfunction
+    real = vfunc.vfunction.act_on_terms
+    pair = random_pair(f9, make_rng("non-constant-images"), -10)
+    monkeypatch.setattr(
+        vfunc.vfunction, "act_on_terms",
+        lambda field, g, x: {key + e * field.p ** 2: k
+                             for key, k in real(field, g, x).items()})
+    with pytest.raises(InternalCheckFailed, match="non-constant"):
+        theta_conditions_matrix(pair)
+    with pytest.raises(InternalCheckFailed, match="non-constant"):
+        theta_lattice(pair)
+
+
 def test_conditions_matrix_matches_the_construction_in_L(f4, f9, f25, f8):
     """Entry for entry, the F_q rows equal the matrix built by acting on
     each monomial as an element of L and densifying its images."""
@@ -202,7 +222,7 @@ def direct_solve(pair):
     """Echelon basis of kernel on the full conditions matrix, as elements
     of L."""
     basis = kernel(pair.field, theta_conditions_matrix(pair), pair.p ** 2)
-    return [LElement.from_codes(pair, {i: {0: c.code} for i, c in v.items()})
+    return [LElement.from_codes(pair, {i: c.code for i, c in v.items()})
             for v in basis]
 
 
@@ -266,12 +286,11 @@ def test_kept_solution_is_out_of_callers_reach(f9):
     basis as it was."""
     pair = random_pair(f9, make_rng("kept-copy"), -10)
     tb = theta_lattice(pair)
-    m1 = {i: dict(row) for i, row in tb.m1.codes.items()}
-    m2 = {i: dict(row) for i, row in tb.m2.codes.items()}
-    for row in tb.m2.codes.values():
-        row[0] = (row[0] + 1) % (f9.q - 1)
-        row[1] = 0
-    tb.m2.codes[3] = {0: 0}
+    m1, m2 = dict(tb.m1.codes), dict(tb.m2.codes)
+    for key in list(tb.m2.codes):
+        tb.m2.codes[key] = (tb.m2.codes[key] + 1) % (f9.q - 1)
+        tb.m2.codes[key + 9] = 0     # a t^1 term beside each coordinate
+    tb.m2.codes[3] = 0
     tb.m1.codes.clear()
     again = theta_lattice(pair)
     assert again.m1.codes == m1 and again.m2.codes == m2
@@ -286,9 +305,9 @@ def test_kept_first_condition_is_out_of_callers_reach(f9):
     pair = random_pair(f9, rng, -10)
     tb = theta_lattice(pair)
     for x in (tb.m1, tb.m2):
-        for row in x.codes.values():
-            row[0] = (row[0] + 1) % (f9.q - 1)
-        x.codes[4] = {0: 0}
+        for key in list(x.codes):
+            x.codes[key] = (x.codes[key] + 1) % (f9.q - 1)
+        x.codes[4] = 0
     other = pair_with_a(f9, next(a for a in f9.elements()
                                  if not a.is_in_prime_field()
                                  and a != pair.a), rng)
