@@ -6,11 +6,11 @@ norms in L are products of Galois conjugates, and det is the tests'
 reference for them.
 
 kernel(field, rows, ncols) solves a matrix over F_q given as sparse
-{column: FqElem} rows, the form of the θ conditions: the oracle solves
-the p^2 x p^2 block of the first, then the second on its 2p solutions.
-Its elimination runs on the codes of the entries (FqElem.code), each row
-operation one FieldParams.accumulate, so work and memory follow the
-nonzeros.
+{column: code} rows (k for g^k, see finite_field), the form of the θ
+conditions: the oracle solves the p^2 x p^2 block of the first, then the
+second on its 2p solutions.  Its basis vectors are {column: code} rows
+too, and each row operation is one FieldParams.accumulate, so work and
+memory follow the nonzeros.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError, NonSquare
-from .finite_field import FieldParams, FqElem
+from .finite_field import FieldParams
 from .laurent import LaurentPoly
 
 
@@ -66,19 +66,21 @@ def det(field: FieldParams,
     return -charpoly[n] if n % 2 else charpoly[n]
 
 
-def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
-           ncols: int) -> list[dict[int, FqElem]]:
+def kernel(field: FieldParams, rows: Sequence[dict[int, int]],
+           ncols: int) -> list[dict[int, int]]:
     """Basis of the right kernel of a matrix over F_q with ncols columns.
 
-    rows are {column: entry} dicts of the nonzero entries, and each basis
-    vector comes back in the same form.  A row that is not a dict, an entry
-    that is not a nonzero FqElem over field, or a column outside
-    0..ncols-1 raises InputError.
+    rows are {column: code} dicts of the nonzero entries, and each basis
+    vector comes back in the same form.  An ncols that is not a
+    non-negative int, a row that is not a dict, a column outside
+    0..ncols-1, or a code that is not that of a nonzero element (an int in
+    0..q-2) raises InputError; so does a bool column or code.
 
     The matrix is brought to reduced row echelon form with columns in
     natural order.  Each free column f gives one basis vector: coordinate f
-    is 1, the other free coordinates are 0, and each pivot coordinate holds
-    the negated echelon entry in column f.
+    has code 0, that is g^0 = 1, the other free coordinates are absent, and
+    each pivot coordinate holds the code of the negated echelon entry in
+    column f.
 
     Empty rows are dropped up front, and the rows are indexed by column,
     so a step reads only the rows with an entry in its column.  Forward
@@ -89,25 +91,27 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
     only free columns besides its own.  Reduced echelon form is unique, so
     the basis depends on neither choice.
     """
+    # type(x) is int, unlike isinstance, rejects a bool
+    if type(ncols) is not int or ncols < 0:
+        raise InputError(f"column count {ncols!r} is not a non-negative int")
+    units, minus_one = field.q - 1, field.elem(-1).code
     R = []
     for row in rows:
         if not isinstance(row, dict):
-            raise InputError("matrix row is not a {column: entry} dict")
-        for j, x in row.items():
-            if not (isinstance(x, FqElem) and x.field == field
-                    and not x.is_zero() and isinstance(j, int)
-                    and 0 <= j < ncols):
-                raise InputError(f"column {j!r}: {x!r} is not a nonzero "
-                                 f"field element in 0..{ncols - 1}")
+            raise InputError("matrix row is not a {column: code} dict")
+        for j, k in row.items():
+            if not (type(j) is int and type(k) is int and 0 <= j < ncols
+                    and 0 <= k < units):
+                raise InputError(f"column {j!r}, entry {k!r}: want a column "
+                                 f"in 0..{ncols - 1} and the code of a "
+                                 f"nonzero element, 0..{units - 1}")
         if row:
-            R.append({j: x.code for j, x in row.items()})
+            R.append(dict(row))     # a copy: clear() edits rows in place
     # where[c]: the indices of the rows with an entry in column c
     where: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(R):
         for j in row:
             where[j].add(i)
-
-    units, minus_one = field.q - 1, field.elem(-1).code
 
     def clear(i: int, c: int, pivot: dict[int, int]) -> None:
         """Subtract from row i the multiple of pivot that clears column c."""
@@ -139,9 +143,9 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, FqElem]],
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = {f: field.one()}
+        vec = {f: 0}
         # only pivot rows are left nonempty; their columns are distinct
         for c, i in sorted((pivot_col[i], i) for i in where[f]):
-            vec[c] = -field.from_code(R[i][f])
+            vec[c] = (R[i][f] + minus_one) % units
         basis.append(vec)
     return basis

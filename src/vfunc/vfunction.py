@@ -27,7 +27,9 @@ below, on the kept first-stage vectors they give the second stage's
 matrix, and on elements of L they check the images.  The action on a
 monomial never folds by the defining relations, so the solution depends
 on (field, a) alone, never on g1 or g2, and it is found in two stages,
-each solved by exact_linalg.kernel and kept in a bounded cache:
+each solved by exact_linalg.kernel and kept in a bounded cache.  The
+images, the matrices, kernel's solutions and the kept vectors are all
+rows of F_q codes, so no value changes encoding on the way:
 
 1. m (sigma - 1)^2 = 0 does not read a.  Its p^2 x p^2 block is solved
    once per field; the 2p basis vectors are kept with their images
@@ -130,25 +132,26 @@ def _second_image(field: FieldParams, a: FqElem, ds: Codes,
 
 
 def _matrix(field: FieldParams,
-            columns: Iterable[Codes]) -> list[dict[int, FqElem]]:
-    """{column: nonzero entry} rows of the p^2-row matrix whose k-th column
-    is the k-th of columns, each an element with constant coordinates on
-    codes, keyed by monomial index.  A key outside 0..p^2 - 1 is a term
-    off the constants and raises InternalCheckFailed."""
+            columns: Iterable[Codes]) -> list[dict[int, int]]:
+    """{column: code} rows, kernel's form, of the p^2-row matrix whose k-th
+    column is the k-th of columns: elements with constant coordinates on
+    codes, keyed by monomial index, which is the row.  A key outside
+    0..p^2 - 1 is a term off the constants and raises InternalCheckFailed."""
     n = field.p ** 2
-    rows: list[dict[int, FqElem]] = [{} for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     for k, column in enumerate(columns):
         for key, code in column.items():
             if not 0 <= key < n:
                 raise InternalCheckFailed(
                     f"condition image has a non-constant term, key {key}")
-            rows[key][k] = field.from_code(code)
+            rows[key][k] = code
     return rows
 
 
-def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, FqElem]]:
+def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, int]]:
     """The 2p^2 x p^2 matrix of both conditions on the monomial basis over
-    F_q, as {column: nonzero entry} rows: column idx holds the images of
+    F_q, as {column: code} rows of its nonzero entries, the form that
+    exact_linalg.kernel takes and returns: column idx holds the images of
     the monomial with index idx and coefficient 1, the first condition
     above the second.  The action and the scaling by a keep coefficients
     constant, so every image key is a monomial index.  Only pair.field
@@ -191,12 +194,10 @@ def _first_condition(
         m = {col: one}
         return _first_image(field, m, _diff(field, SIGMA, m))
 
-    out = []
-    for v in kernel(field, _matrix(field, map(column, range(n))), n):
-        m = {i: c.code for i, c in v.items()}
-        out.append((tuple(m.items()), tuple(_diff(field, SIGMA, m).items()),
-                    tuple(_diff(field, TAU, m).items())))
-    return tuple(out)
+    rows = _matrix(field, map(column, range(n)))
+    return tuple((tuple(m.items()), tuple(_diff(field, SIGMA, m).items()),
+                  tuple(_diff(field, TAU, m).items()))
+                 for m in kernel(field, rows, n))
 
 
 @lru_cache(maxsize=MAX_Q)
@@ -207,11 +208,12 @@ def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
 
     On the kept basis v_k of the first condition (_first_condition) the
     second is the matrix of v_k (tau - 1) - a * v_k (sigma - 1), with one
-    column per v_k; kernel solves it and each solution c maps back to
-    sum c_k v_k.  The v_k are unit vectors in index order, so the map back
-    relabels columns and keeps the reduced echelon form of the full
-    conditions matrix.  Solved on first use and kept; a takes fewer than
-    q <= MAX_Q values per field, so one field's values all fit.
+    column per v_k; kernel solves it and each solution c, a {k: code} row,
+    maps back to sum c_k v_k, one accumulate per k.  The v_k are unit
+    vectors in index order, so the map back relabels columns and keeps the
+    reduced echelon form of the full conditions matrix.  Solved on first
+    use and kept; a takes fewer than q <= MAX_Q values per field, so one
+    field's values all fit.
     """
     first = _first_condition(field)
     rows = _matrix(field, (_second_image(field, a, dict(ds), dict(dt))
@@ -219,8 +221,8 @@ def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
     basis = []
     for c in kernel(field, rows, len(first)):
         m: Codes = {}
-        for k, x in c.items():
-            field.accumulate(m, x.code, first[k][0])
+        for k, code in c.items():
+            field.accumulate(m, code, first[k][0])
         basis.append(tuple(m.items()))
     if len(basis) != 2:
         raise InternalCheckFailed(

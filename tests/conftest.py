@@ -197,6 +197,17 @@ def fq_matvec(field: FieldParams, rows, vec) -> list[FqElem]:
     return out
 
 
+def as_codes(rows) -> list[dict[int, int]]:
+    """{column: FqElem} rows or vectors as {column: code}, the form that
+    kernel and theta_conditions_matrix speak."""
+    return [{j: x.code for j, x in row.items()} for row in rows]
+
+
+def as_elems(field: FieldParams, rows) -> list[dict[int, FqElem]]:
+    """{column: code} rows or vectors back as {column: FqElem}."""
+    return [{j: field.from_code(k) for j, k in row.items()} for row in rows]
+
+
 def coeffs(x: LElement) -> tuple[LaurentPoly, ...]:
     """All p^2 coordinates of x in index order, zeros included."""
     zero = LaurentPoly.zero(x.pair.field)

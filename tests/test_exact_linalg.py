@@ -9,7 +9,14 @@ from vfunc.exact_linalg import det, kernel
 from vfunc.finite_field import FieldParams, FqElem
 from vfunc.laurent import LaurentPoly
 
-from conftest import fq_matvec, make_rng, matmul, random_laurent
+from conftest import (
+    as_codes,
+    as_elems,
+    fq_matvec,
+    make_rng,
+    matmul,
+    random_laurent,
+)
 
 
 def det_by_permutations(field: FieldParams, rows) -> LaurentPoly:
@@ -142,16 +149,23 @@ def lift(field, rows, ncols) -> list[list[LaurentPoly]]:
              for j in range(ncols)] for row in rows]
 
 
+def fq_kernel(field, rows, ncols) -> list[dict[int, FqElem]]:
+    """kernel on {column: FqElem} rows, its basis read back as FqElems:
+    the form in which dense_kernel_reference specifies it."""
+    return as_elems(field, kernel(field, as_codes(rows), ncols))
+
+
 def test_kernel_examples(f4):
     one, w = f4.one(), f4.gen()
-    ker = kernel(f4, [{}], 2)
-    assert ker == [{0: one}, {1: one}]
-    ker = kernel(f4, [{0: one, 1: w}], 2)
+    # a free coordinate has code 0, which is g^0 = 1
+    assert kernel(f4, [{}], 2) == [{0: 0}, {1: 0}]
+    assert kernel(f4, [], 0) == []
+    ker = fq_kernel(f4, [{0: one, 1: w}], 2)
     assert ker == [{0: w, 1: one}]  # char 2: -w == w
     # a zero column before the pivot stays free
     M = [{1: one, 2: w}, {1: one, 2: w}]
-    assert kernel(f4, M, 3) == [{0: one}, {1: w, 2: one}]
-    for vec in kernel(f4, M, 3):
+    assert fq_kernel(f4, M, 3) == [{0: one}, {1: w, 2: one}]
+    for vec in fq_kernel(f4, M, 3):
         assert all(x.is_zero() for x in fq_matvec(f4, M, vec))
 
 
@@ -162,7 +176,7 @@ def test_kernel_annihilates_and_counts(f9, f25):
             nr = rng.randrange(1, 5)
             nc = rng.randrange(1, 5)
             M = rand_fq_rows(fld, rng, nr, nc)
-            ker = kernel(fld, M, nc)
+            ker = fq_kernel(fld, M, nc)
             for vec in ker:
                 assert all(x.is_zero() for x in fq_matvec(fld, M, vec))
             # rank + nullity = ncols, rank measured independently by minors
@@ -187,17 +201,17 @@ def test_kernel_annihilates_and_counts(f9, f25):
 
 def test_kernel_echelon_shape_and_normalization(f9):
     rng = make_rng("kernel-shape")
-    one = f9.one()
     for _ in range(10):
         M = rand_fq_rows(f9, rng, 3, 5)
-        ker = kernel(f9, M, 5)
+        ker = kernel(f9, as_codes(M), 5)
         free_cols = []
         for vec in ker:
             free = max(vec)
             free_cols.append(free)
-            assert vec[free] == one
-            assert all(isinstance(x, FqElem) and x.field == f9
-                       and not x.is_zero() for x in vec.values())
+            assert vec[free] == 0       # the code of 1
+            # every coordinate is the code of a nonzero element
+            assert all(type(k) is int and 0 <= k < f9.q - 1
+                       for k in vec.values())
         # one distinct free coordinate per vector, zero at the others
         assert len(set(free_cols)) == len(ker)
         for vec, own in zip(ker, free_cols):
@@ -207,35 +221,64 @@ def test_kernel_echelon_shape_and_normalization(f9):
 
 
 def test_kernel_rejects_non_constant_entries(f9):
-    """Entries must be nonzero elements of the field, in columns
-    0..ncols-1."""
-    one = f9.one()
+    """Entries must be codes of nonzero elements of the field, ints in
+    0..q-2, in columns 0..ncols-1."""
     f25 = FieldParams(5, 2)
-    for bad in ({0: one, 1: LaurentPoly.t_pow(f9, 1)},
-                {0: one, 1: LaurentPoly.one(f9)},
-                {0: one, 1: f25.one()},
-                {0: one, 1: f9.zero()},
-                {0: one, 2: one},
-                {-1: one}):
+    for bad in ({0: 0, 1: LaurentPoly.t_pow(f9, 1)},
+                {0: 0, 1: LaurentPoly.one(f9)},
+                {0: 0, 1: -1},
+                {0: 0, 1: f9.q - 1},        # the code of zero
+                {0: 0, 1: f9.q},
+                {0: 0, 1: 1.0},
+                {0: 0, 1: f9.one()},
+                {0: 0, 1: f25.one()},
+                {0: 0, 1: True},
+                {0: 0, 2: 0},
+                {-1: 0}):
         with pytest.raises(InputError):
             kernel(f9, [bad], 2)
 
 
+@pytest.mark.parametrize("ncols", [-1, 2.5, True, "2"])
+def test_kernel_rejects_a_column_count_that_is_not_a_non_negative_int(
+        f4, ncols):
+    with pytest.raises(InputError, match="column count"):
+        kernel(f4, [{}], ncols)
+
+
+def test_kernel_rejects_a_bool_column(f4):
+    """True would be read as column 1."""
+    assert kernel(f4, [{1: 0}], 2) == [{0: 0}]
+    with pytest.raises(InputError):
+        kernel(f4, [{True: 0}], 2)
+
+
+def test_kernel_rejects_a_bool_code(f4):
+    """True would be read as code 1, the generator w."""
+    assert kernel(f4, [{0: 1}], 1) == []
+    with pytest.raises(InputError):
+        kernel(f4, [{0: True}], 1)
+
+
 def test_kernel_deterministic(f25):
+    """Two calls on one matrix agree, and neither alters its rows."""
     rng = make_rng("kernel-det")
-    M = rand_fq_rows(f25, rng, 4, 6)
+    M = as_codes(rand_fq_rows(f25, rng, 4, 6))
+    before = [dict(row) for row in M]
     assert kernel(f25, M, 6) == kernel(f25, M, 6)
+    assert M == before
 
 
 def test_constant_matrix_kernel_stays_constant(f9):
-    # kernel vectors hold nonzero field elements only, and are solutions
+    # kernel vectors hold codes of nonzero elements only, and are solutions
     rng = make_rng("kernel-const")
     for _ in range(10):
         M = rand_fq_rows(f9, rng, 2, 4, density=1.0)
-        for vec in kernel(f9, M, 4):
-            for j, x in vec.items():
+        for vec in kernel(f9, as_codes(M), 4):
+            for j, k in vec.items():
                 assert 0 <= j < 4
-                assert isinstance(x, FqElem) and not x.is_zero()
+                assert type(k) is int and 0 <= k < f9.q - 1
+            (vec,) = as_elems(f9, [vec])
             assert all(y.is_zero() for y in fq_matvec(f9, M, vec))
 
 
@@ -248,11 +291,11 @@ def test_ragged_and_foreign_rows_rejected(f4, f9):
     with pytest.raises(InputError):
         det(f4, [[1]])
     with pytest.raises(InputError):
-        kernel(f4, [[f4.one()]], 1)
+        kernel(f4, [[0]], 1)
     with pytest.raises(InputError):
         kernel(f4, [{0: f9.one()}], 1)
     with pytest.raises(InputError):
-        kernel(f4, [{0: 1}], 1)
+        kernel(f4, [{0: f9.q - 2}], 1)     # a unit code of F_9, not of F_4
 
 
 def dense_kernel_reference(field: FieldParams, rows,
@@ -313,12 +356,13 @@ def test_kernel_matches_dense_reference(f4, f8, f25):
             for _ in range(6):
                 nr, nc = rng.randrange(1, 13), rng.randrange(1, 11)
                 M = rand_fq_rows(fld, rng, nr, nc, density)
-                assert kernel(fld, M, nc) == dense_kernel_reference(fld, M, nc)
+                ker = fq_kernel(fld, M, nc)
+                assert ker == dense_kernel_reference(fld, M, nc)
             for _ in range(4):
                 nr, nc = rng.randrange(2, 13), rng.randrange(2, 11)
                 rank = rng.randrange(1, min(nr, nc))
                 M = low_rank_matrix(fld, rng, nr, nc, rank, density)
-                ker = kernel(fld, M, nc)
+                ker = fq_kernel(fld, M, nc)
                 assert len(ker) >= nc - rank
                 assert ker == dense_kernel_reference(fld, M, nc)
 
@@ -340,7 +384,7 @@ def test_kernel_cancels_entries_exactly(f25):
     # r5 - r1 has a zero in column 1, so that entry cancels
     r5 = [one, c[0], c[4], zero, c[5]]
     M = [row(*r) for r in (r1, r2, r3, r4, r5)]
-    ker = kernel(f25, M, 5)
+    ker = fq_kernel(f25, M, 5)
     assert ker == dense_kernel_reference(f25, M, 5)
     assert len(ker) == 5 - 3
     for vec in ker:
