@@ -61,7 +61,7 @@ Codes = dict[int, int]
 #: Most terms g1 or g2 may have; a longer series raises TooManyTerms up
 #: front, so every accepted input has a known size.  At the cap the cost
 #: per pair is set by p, not by the terms: at p = 61, v_oracle took 42 ms
-#: at pole order 64 and 46 ms at 256, upper_filtration 1.5 and 5 ms.
+#: at pole order 64 and 46 ms at 256, upper_filtration 0.14 ms at both.
 MAX_TERMS = 256
 
 #: Largest pole order -v_K of g1 or g2; a deeper one raises PoleTooDeep up

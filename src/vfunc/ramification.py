@@ -3,11 +3,13 @@
 Every index-p subextension corresponds to a point (lambda : mu) of the
 projective line over F_p through lambda*g1 + mu*g2, a member of J (as g1
 and g2 are, and J is an F_p-space) and so its own representative; its
-break is minus its valuation.  The break data of the full group assembles
-from these degree-p pictures: the subgroup in upper numbering just after
-height u is the intersection of the annihilators of every line whose
-break is at most u.  Herbrand transition functions convert between upper
-and lower numbering with exact rational slopes.
+break is minus its valuation.  That valuation is read off the leading
+terms of g1 and g2, and the member itself is never built.  The break
+data of the full group assembles from these degree-p pictures: the
+subgroup in upper numbering just after height u is the intersection of
+the annihilators of every line whose break is at most u.  Herbrand
+transition functions convert between upper and lower numbering with
+exact rational slopes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import InputError, InternalCheckFailed, NumberingMismatch
 from .extension_algebra import ExtensionPair
@@ -84,31 +88,59 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class Line:
-    """Point (lambda : mu) of P^1(F_p), its member of J and its break."""
+    """Point (lambda : mu) of P^1(F_p) and the break of its member
+    lambda*g1 + mu*g2 of J, read off the leading terms of g1 and g2."""
 
     coeffs: tuple[int, int]
-    rep: LaurentPoly
     jump: int
 
 
 def lines(pair: ExtensionPair) -> list[Line]:
-    """One line per point of P^1(F_p): (1, 0) first, then (lam, 1)."""
+    """One line per point of P^1(F_p): (1, 0) first, then (lam, 1).
+
+    No member is built: (1 : 0) and (0 : 1) read the first exponent of g1
+    and of g2, and (lam : 1) walks the two code rows to the first exponent
+    where lam*g1 + g2 does not cancel.
+    """
     p = pair.p
-    pencil = [((1, 0), pair.g1), ((0, 1), pair.g2)]
-    for lam in range(1, p):
-        pencil.append(((lam, 1), pencil[-1][1] + pair.g1))
+    g1, g2 = pair.g1, pair.g2
+    elem = pair.field.elem
+    vals = [((1, 0), g1.valuation()), ((0, 1), g2.valuation())]
+    vals += [((lam, 1), _member_valuation(elem(lam).code, g1, g2))
+             for lam in range(1, p)]
     out = []
-    for coeffs, rep in pencil:
-        # the only guard should validation let a series outside J through
-        val = rep.valuation()
+    for coeffs, val in vals:
+        # the only guards should validation let a series outside J through
         if val == INFINITY:
             raise InternalCheckFailed(
                 "a line of a valid pair reduced to zero")
         jump = -val
         if jump % p == 0 or jump <= 0:
             raise InternalCheckFailed(f"line break {jump} outside J range")
-        out.append(Line(coeffs=coeffs, rep=rep, jump=jump))
+        out.append(Line(coeffs=coeffs, jump=jump))
     return out
+
+
+def _member_valuation(k: int, g1: LaurentPoly,
+                      g2: LaurentPoly) -> int | float:
+    """v_K(g^k * g1 + g2), read off the fronts of the two sorted code rows.
+
+    The first exponent held by one row only, or shared with a nonzero sum
+    (one Zech add), is the valuation.  The leading terms cancel only at a
+    shared exponent and for one scale, -c2/c1, so of the lines (lam : 1)
+    at most one walks past its first step.
+    """
+    a, b = g1.codes, g2.codes
+    accumulate = g1.field.accumulate
+    for (ea, ka), (eb, kb) in zip(a, b):
+        if ea != eb:
+            return min(ea, eb)
+        acc = {eb: kb}
+        accumulate(acc, k, ((ea, ka),))
+        if acc:
+            return ea
+    rest = a[len(b):] or b[len(a):]
+    return rest[0][0] if rest else INFINITY
 
 
 def annihilator(coeffs: tuple[int, int], p: int) -> Subgroup:
@@ -118,6 +150,15 @@ def annihilator(coeffs: tuple[int, int], p: int) -> Subgroup:
     if lam % p == 0 and mu % p == 0:
         raise InputError("line coefficients must not both vanish")
     return Subgroup(p, ((lam, -mu),))
+
+
+@lru_cache(maxsize=64)
+def _annihilators(p: int) -> MappingProxyType[tuple[int, int], Subgroup]:
+    """The annihilator of each line of lines(), by its coefficients, built
+    once per p: Subgroup is frozen, so the filtration routes share them
+    through a read-only view."""
+    points = [(1, 0), (0, 1)] + [(lam, 1) for lam in range(1, p)]
+    return MappingProxyType({c: annihilator(c, p) for c in points})
 
 
 @dataclass(frozen=True)
@@ -168,6 +209,7 @@ def upper_filtration(pair: ExtensionPair) -> Filtration:
 
 
 def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
+    ann = _annihilators(p)
     breaks = []
     current = Subgroup.full(p)
     for u in sorted({ln.jump for ln in ls}):
@@ -175,7 +217,7 @@ def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
         nxt = current
         for ln in ls:
             if ln.jump == u:
-                nxt = nxt.intersect(annihilator(ln.coeffs, p))
+                nxt = nxt.intersect(ann[ln.coeffs])
         if nxt.order < current.order:
             breaks.append((u, nxt))
             current = nxt
@@ -304,8 +346,9 @@ def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
     heights = {u + 1 for u in upper.break_values()}
     heights.update(ln.jump + 1 for ln in all_lines)
     images = [(h, upper.subgroup_at(h)) for h in heights]
+    ann = _annihilators(p)
     for ln in all_lines:
-        h_sub = annihilator(ln.coeffs, p)
+        h_sub = ann[ln.coeffs]
         for h, sub in images:
             # The image in G/H is everything exactly when sub is not in H.
             if (h <= ln.jump) == sub.is_subset(h_sub):

@@ -140,14 +140,63 @@ def test_quotient_compatibility_holds(field, data):
 @derandomized(max_examples=25)
 @given(data=st.data())
 def test_lines_are_their_own_J_representatives(field, data):
-    """lines() takes each pencil member as it is: reduce_to_J, the
-    J-normal form, must find nothing to remove from it."""
+    """Each pencil member of a valid pair is its own J-representative:
+    reduce_to_J, the J-normal form, must find nothing to remove from it,
+    and the line's break is minus the member's valuation."""
     pair = data.draw(valid_pairs(field, max_pole=field.p ** 2 + 2,
                                  max_terms=3))
     for ln in lines(pair):
         lam, mu = ln.coeffs
-        rep, witness = reduce_to_J(lam * pair.g1 + mu * pair.g2)
-        assert ln.rep == rep and witness.is_zero()
+        member = lam * pair.g1 + mu * pair.g2
+        rep, witness = reduce_to_J(member)
+        assert member == rep and witness.is_zero()
+        assert ln.jump == -member.valuation()
+
+
+@st.composite
+def cancelling_pairs(draw, field: FieldParams, max_pole: int,
+                     max_terms: int):
+    """(pair, lam0): a valid pair whose g2 leads with -lam0 times the
+    leading term of g1, for lam0 in F_p*, plus one to max_terms terms at
+    higher exponents, so the leading terms of the member of line
+    (lam0 : 1) cancel.  g1's exponents shrink toward -max_pole and g2's
+    higher ones toward -1, so the smallest draw is valid."""
+    p = field.p
+    exponents = [e for e in range(-1, -max_pole - 1, -1) if e % p]
+    nonzero = list(field.elements())[1:]
+    actions = st.sampled_from([x for x in nonzero
+                               if not x.is_in_prime_field()])
+    g1s = laurent(field, exponents[::-1], nonzero, max_terms)
+
+    def draw_pair():
+        g1 = draw(g1s)
+        (e1, c1), lam0 = g1.terms[0], draw(st.integers(1, p - 1))
+        deeper = [e for e in exponents if e > e1]
+        if not deeper:
+            return None
+        tail = draw(st.dictionaries(st.sampled_from(deeper),
+                                    st.sampled_from(nonzero),
+                                    min_size=1, max_size=max_terms))
+        g2 = LaurentPoly(field, {**tail, e1: -lam0 * c1})
+        return validate_pair(field, draw(actions), g1, g2), lam0
+
+    return capped_draw(draw_pair)
+
+
+@over(SMALL_FIELDS + [FieldParams(7, 2)])
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_jumps_are_read_past_cancelling_leading_terms(field, data):
+    """Each break is minus the valuation of the member built in full, also
+    on the line (lam0 : 1), whose break comes from a higher exponent."""
+    pair, lam0 = data.draw(cancelling_pairs(field, max_pole=field.p ** 2 + 2,
+                                            max_terms=3))
+    for ln in lines(pair):
+        lam, mu = ln.coeffs
+        member = lam * pair.g1 + mu * pair.g2
+        assert ln.jump == -member.valuation()
+        if ln.coeffs == (lam0, 1):
+            assert ln.jump < -pair.g1.valuation()
 
 
 @over(SMALL_FIELDS)

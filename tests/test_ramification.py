@@ -11,7 +11,7 @@ from vfunc import (
     LaurentPoly,
     NumberingMismatch,
 )
-from vfunc.extension_algebra import validate_pair
+from vfunc.extension_algebra import ExtensionPair, validate_pair
 from vfunc.ramification import (
     Filtration,
     Subgroup,
@@ -121,8 +121,11 @@ def test_lines_enumerates_projective_points(f4, f9):
         assert [ln.coeffs for ln in ls] == \
             [(1, 0)] + [(lam, 1) for lam in range(field.p)]
         for ln in ls:
+            lam, mu = ln.coeffs
+            member = lam * pair.g1 + mu * pair.g2
             assert ln.jump > 0 and ln.jump % field.p != 0
-            assert ln.rep.is_in_J() and not ln.rep.is_zero()
+            assert member.is_in_J() and not member.is_zero()
+            assert ln.jump == -member.valuation()
 
 
 def test_line_breaks_on_counterexample_instance(f4):
@@ -136,12 +139,52 @@ def test_line_breaks_mixed_depths(f4):
 
 
 def test_lines_reduce_representatives(f9):
-    """F_p-combinations of J elements stay in J, so rep = the combination."""
+    """F_p-combinations of J elements stay in J, so each line's break is
+    minus the valuation of the combination itself."""
     rng = make_rng("lines-noop")
     pair = random_pair(f9, rng, -8)
     for ln in lines(pair):
         lam, mu = ln.coeffs
-        assert ln.rep == lam * pair.g1 + mu * pair.g2
+        member = lam * pair.g1 + mu * pair.g2
+        assert member.is_in_J()
+        assert ln.jump == -member.valuation()
+
+
+def test_line_breaks_when_leading_terms_cancel(f25):
+    """g2 leads with -2 times g1's leading term, so the member of (2 : 1)
+    loses its t^-7 term and breaks at 3, where every other line breaks
+    at 7."""
+    one, three = f25.elem(1), f25.elem(3)
+    pair = validate_pair(f25, f25.gen(), series(f25, (-7, one), (-3, one)),
+                         series(f25, (-7, three), (-1, one)))
+    ls = lines(pair)
+    assert sorted(ln.jump for ln in ls) == [3, 7, 7, 7, 7, 7]
+    assert [ln.coeffs for ln in ls if ln.jump == 3] == [(2, 1)]
+
+
+def unchecked_pair(field, a, g1, g2):
+    """An ExtensionPair that skips validation, to reach lines()'s guards."""
+    pair = object.__new__(ExtensionPair)
+    for name, value in (("field", field), ("a", a), ("g1", g1), ("g2", g2)):
+        object.__setattr__(pair, name, value)
+    return pair
+
+
+@pytest.mark.parametrize("g1, g2, message", [
+    # 3*g1 + g2 = 5*g1 = 0 on line (3 : 1)
+    (((-2, 1), (-1, 1)), ((-2, 2), (-1, 2)), "reduced to zero"),
+    # t^-5 on line (1 : 0), before (3 : 1) is reached
+    (((-5, 1),), ((-5, 2),), "line break 5 outside J"),
+    # a term at a positive exponent leads g1
+    (((1, 1),), ((-1, 1),), "line break -1 outside J"),
+    # (2 : 1) cancels t^-7 and walks on to t^-5
+    (((-7, 1), (-5, 1)), ((-7, 3), (-1, 1)), "line break 5 outside J"),
+])
+def test_lines_guard_members_outside_J(f25, g1, g2, message):
+    pair = unchecked_pair(f25, f25.gen(), series(f25, *g1),
+                          series(f25, *g2))
+    with pytest.raises(InternalCheckFailed, match=message):
+        lines(pair)
 
 
 
