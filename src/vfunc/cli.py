@@ -136,7 +136,7 @@ def _breaks_json(filt: Filtration) -> list[dict]:
     out = []
     for u, sub in filt.breaks:
         out.append({
-            "height": int(u),
+            "height": u,
             "order": sub.order,
             "generators": [f"s{i}t{j}" for i, j in sub.gens],
         })

@@ -79,6 +79,12 @@ class ExtensionPair:
     g2: LaurentPoly
 
     def __post_init__(self):
+        for name, value, kind in (("a", self.a, FqElem),
+                                  ("g1", self.g1, LaurentPoly),
+                                  ("g2", self.g2, LaurentPoly)):
+            if not isinstance(value, kind):
+                raise InputError(f"{name} must be a {kind.__name__}, "
+                                 f"not {type(value).__name__}")
         if self.a.field != self.field or self.g1.field != self.field \
                 or self.g2.field != self.field:
             raise InputError("pair components over different fields")
@@ -95,9 +101,12 @@ class ExtensionPair:
                 raise NotInJ(f"{name} = {g} is not in J")
         if self.g1.is_zero():
             raise G1Zero("g1 must be nonzero")
-        for c in range(self.field.p):
-            if self.g2 == c * self.g1:
-                raise G2DependentOnG1(f"g2 = {c} * g1")
+        # g2 = c * g1 fixes c as g2's coefficient at g1's leading exponent
+        # over g1's leading coefficient: one candidate, one product.
+        e1, k1 = self.g1.codes[0]
+        c = self.g2.coeff(e1) / self.field.from_code(k1)
+        if c.is_in_prime_field() and self.g2 == c * self.g1:
+            raise G2DependentOnG1(f"g2 = {c.coeffs[0]} * g1")
 
     @property
     def p(self) -> int:

@@ -8,8 +8,11 @@ terms of g1 and g2, and the member itself is never built.  The break
 data of the full group assembles from these degree-p pictures: the
 subgroup in upper numbering just after height u is the intersection of
 the annihilators of every line whose break is at most u.  Herbrand
-transition functions convert between upper and lower numbering with
-exact rational slopes.
+transition functions convert between upper and lower numbering.  Every
+height is an integer: the lines' breaks, the upper breaks (Hasse-Arf) and
+the lower breaks, which are the knots of psi, whose slopes are the
+integers 1, p and p^2.  Only phi, with slopes 1, 1/p and 1/p^2, and
+evaluation between knots use Fraction.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .errors import InputError, InternalCheckFailed, NumberingMismatch
 from .extension_algebra import ExtensionPair
@@ -143,22 +145,15 @@ def _member_valuation(k: int, g1: LaurentPoly,
     return rest[0][0] if rest else INFINITY
 
 
+@lru_cache(maxsize=1024)
 def annihilator(coeffs: tuple[int, int], p: int) -> Subgroup:
     """Order-p subgroup pairing to zero with the line (lam : mu):
-    i*mu + j*lam = 0."""
+    i*mu + j*lam = 0.  Cached: Subgroup is frozen, so the filtration
+    routes share one per line."""
     lam, mu = coeffs
     if lam % p == 0 and mu % p == 0:
         raise InputError("line coefficients must not both vanish")
     return Subgroup(p, ((lam, -mu),))
-
-
-@lru_cache(maxsize=64)
-def _annihilators(p: int) -> MappingProxyType[tuple[int, int], Subgroup]:
-    """The annihilator of each line of lines(), by its coefficients, built
-    once per p: Subgroup is frozen, so the filtration routes share them
-    through a read-only view."""
-    points = [(1, 0), (0, 1)] + [(lam, 1) for lam in range(1, p)]
-    return MappingProxyType({c: annihilator(c, p) for c in points})
 
 
 @dataclass(frozen=True)
@@ -168,18 +163,23 @@ class Filtration:
     The value at height v is the subgroup attached to the largest break
     strictly below v, and the full group before the first break.  Subgroups
     decrease strictly along the break list and the last one is trivial.
+    Break heights are ints in both numberings; only the heights v probed
+    by subgroup_at may be Fractions.
     """
 
     numbering: str
     p: int
-    breaks: tuple[tuple[Rational, Subgroup], ...]
+    breaks: tuple[tuple[int, Subgroup], ...]
 
     def __post_init__(self):
         if self.numbering not in ("upper", "lower"):
             raise InputError(f"unknown numbering {self.numbering!r}")
         prev: Subgroup | None = None
-        last_u: Rational | None = None
+        last_u: int | None = None
         for u, sub in self.breaks:
+            if type(u) is not int:
+                raise InternalCheckFailed(
+                    f"break height {u!r} is not an integer")
             if last_u is not None and not u > last_u:
                 raise InternalCheckFailed("breaks out of order")
             if prev is not None and not (sub.order < prev.order
@@ -194,7 +194,7 @@ class Filtration:
         below = [sub for u, sub in self.breaks if u < v]
         return below[-1] if below else Subgroup.full(self.p)
 
-    def break_values(self) -> list[Rational]:
+    def break_values(self) -> list[int]:
         return [u for u, _ in self.breaks]
 
 
@@ -209,7 +209,6 @@ def upper_filtration(pair: ExtensionPair) -> Filtration:
 
 
 def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
-    ann = _annihilators(p)
     breaks = []
     current = Subgroup.full(p)
     for u in sorted({ln.jump for ln in ls}):
@@ -217,7 +216,7 @@ def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
         nxt = current
         for ln in ls:
             if ln.jump == u:
-                nxt = nxt.intersect(ann[ln.coeffs])
+                nxt = nxt.intersect(annihilator(ln.coeffs, p))
         if nxt.order < current.order:
             breaks.append((u, nxt))
             current = nxt
@@ -233,10 +232,13 @@ class HerbrandFn:
     """Piecewise-linear increasing bijection of [0, inf) fixing 0.
 
     Stored as knots (x, value at x, slope after x) with strictly
-    increasing x starting at 0.
+    increasing x: one at 0, then one at each break.  psi's knots are
+    ints, as its slopes are the integers 1, p and p^2, so the lower breaks
+    are its knots' values; phi's slopes are 1, 1/p and 1/p^2.  A call
+    returns a Fraction.
     """
 
-    knots: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    knots: tuple[tuple[int, Rational, Rational], ...]
 
     def __call__(self, x: Rational) -> Fraction:
         x = Fraction(x)
@@ -249,23 +251,18 @@ class HerbrandFn:
 
 
 def _transition(filt: Filtration, expected: str, invert: bool) -> HerbrandFn:
+    """The knots (0, 0, 1) and, at each break u, (u, value at u, slope
+    after u).  psi's slope (G_0 : G^u) is g0 // order, exact as the order
+    divides p^2, so its knots stay ints; phi's is Fraction(order, g0)."""
     if filt.numbering != expected:
         raise NumberingMismatch(
             f"expected a {expected}-numbering filtration, got {filt.numbering}")
     g0 = filt.p ** 2
-    knots = []
-    x = Fraction(0)
-    y = Fraction(0)
-    order = g0
+    knots = [(0, 0, 1)]
     for u, sub in filt.breaks:
-        slope = Fraction(g0, order) if invert else Fraction(order, g0)
-        knots.append((x, y, slope))
-        u = Fraction(u)
-        y = y + slope * (u - x)
-        x = u
-        order = sub.order
-    slope = Fraction(g0, order) if invert else Fraction(order, g0)
-    knots.append((x, y, slope))
+        x, y, slope = knots[-1]
+        knots.append((u, y + slope * (u - x), g0 // sub.order if invert
+                      else Fraction(sub.order, g0)))
     return HerbrandFn(knots=tuple(knots))
 
 
@@ -285,15 +282,10 @@ def lower_filtration(pair: ExtensionPair) -> Filtration:
 
 
 def _lower_from_upper(upper: Filtration) -> Filtration:
-    psi = herbrand_psi(upper)
-    moved = []
-    for u, sub in upper.breaks:
-        x = psi(u)
-        if x.denominator != 1:
-            raise InternalCheckFailed(
-                f"lower break {x} is not an integer")
-        moved.append((int(x), sub))
-    return Filtration(numbering="lower", p=upper.p, breaks=tuple(moved))
+    # Knot k + 1 of psi sits at upper break k and holds psi there.
+    moved = tuple((y, sub) for (_, y, _), (_, sub)
+                  in zip(herbrand_psi(upper).knots[1:], upper.breaks))
+    return Filtration(numbering="lower", p=upper.p, breaks=moved)
 
 
 def filtration_report(pair: ExtensionPair) -> tuple[Filtration, Filtration, bool]:
@@ -346,9 +338,8 @@ def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
     heights = {u + 1 for u in upper.break_values()}
     heights.update(ln.jump + 1 for ln in all_lines)
     images = [(h, upper.subgroup_at(h)) for h in heights]
-    ann = _annihilators(p)
     for ln in all_lines:
-        h_sub = ann[ln.coeffs]
+        h_sub = annihilator(ln.coeffs, p)
         for h, sub in images:
             # The image in G/H is everything exactly when sub is not in H.
             if (h <= ln.jump) == sub.is_subset(h_sub):

@@ -73,6 +73,18 @@ def test_validation_rejects_bad_pairs(f4, f9):
         validate_pair(f9, u, h, LaurentPoly.zero(f9))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("a", 3), ("g1", "t^-1"), ("g2", None)])
+def test_validation_rejects_wrong_typed_components(f4, name, value):
+    """A component of the wrong type is named in an InputError, before
+    the field comparison reads its field."""
+    parts = {"a": f4.gen(), "g1": LaurentPoly.t_pow(f4, -1),
+             "g2": LaurentPoly.t_pow(f4, -3)}
+    parts[name] = value
+    with pytest.raises(InputError, match=f"^{name} must be a "):
+        validate_pair(f4, **parts)
+
+
 def test_pole_order_is_capped(f9):
     """Pole order MAX_POLE_ORDER passes; one deeper is rejected before the
     J and dependence checks, so even g2 = g1 reports the pole."""

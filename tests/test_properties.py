@@ -9,10 +9,17 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from vfunc.errors import G2DependentOnG1
 from vfunc.extension_algebra import LElement, act, validate_pair
 from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly, reduce_to_J
-from vfunc.ramification import lines, quotient_compat_check
+from vfunc.ramification import (
+    filtration_report,
+    herbrand_phi,
+    herbrand_psi,
+    lines,
+    quotient_compat_check,
+)
 from vfunc.vfunction import v_formula, v_oracle
 
 from conftest import capped_draw, reference_mul
@@ -197,6 +204,52 @@ def test_jumps_are_read_past_cancelling_leading_terms(field, data):
         assert ln.jump == -member.valuation()
         if ln.coeffs == (lam0, 1):
             assert ln.jump < -pair.g1.valuation()
+
+
+@over(SMALL_FIELDS + [FieldParams(7, 2)])
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_lower_breaks_are_psi_at_the_upper_breaks(field, data):
+    """Each lower break is an int, psi of its upper break, and phi maps it
+    back; the subgroups are the same."""
+    pair = data.draw(valid_pairs(field, max_pole=field.p ** 2 + 2,
+                                 max_terms=3))
+    upper, lower, _ = filtration_report(pair)
+    psi, phi = herbrand_psi(upper), herbrand_phi(lower)
+    assert len(lower.breaks) == len(upper.breaks)
+    for (u, sub), (x, lower_sub) in zip(upper.breaks, lower.breaks):
+        assert type(x) is int and lower_sub == sub
+        assert x == psi(u) and phi(x) == u
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_dependence_is_read_off_the_leading_ratio(field, data):
+    """g2 = c * g1 is rejected, naming c, for every c in F_p.  c * g1 with
+    one non-leading coefficient changed, c * g1 plus a term at an exponent
+    of J that g1 lacks, and a multiple of g1 by a scalar outside F_p are
+    all accepted."""
+    p = field.p
+    exponents = [e for e in range(-1, -(p * p + 6), -1) if e % p]
+    nonzero = list(field.elements())[1:]
+    outside = [x for x in nonzero if not x.is_in_prime_field()]
+    a = data.draw(st.sampled_from(outside))
+    g1 = LaurentPoly(field, data.draw(st.dictionaries(
+        st.sampled_from(exponents), st.sampled_from(nonzero),
+        min_size=2, max_size=4)))
+    for c in range(p):
+        with pytest.raises(G2DependentOnG1, match=rf"^g2 = {c} \* g1$"):
+            validate_pair(field, a, g1, c * g1)
+    c = data.draw(st.integers(0, p - 1))
+    changed = data.draw(st.sampled_from(g1.support()[1:]))
+    fresh = data.draw(st.sampled_from(
+        [e for e in exponents if e not in g1.support()]))
+    x = data.draw(st.sampled_from(nonzero))
+    for g2 in (c * g1 + LaurentPoly.t_pow(field, changed, x),
+               c * g1 + LaurentPoly.t_pow(field, fresh, x),
+               data.draw(st.sampled_from(outside)) * g1):
+        validate_pair(field, a, g1, g2)
 
 
 @over(SMALL_FIELDS)

@@ -12,6 +12,7 @@ from vfunc import (
     NumberingMismatch,
 )
 from vfunc.extension_algebra import ExtensionPair, validate_pair
+from vfunc.finite_field import FieldParams
 from vfunc.ramification import (
     Filtration,
     Subgroup,
@@ -201,6 +202,27 @@ def test_filtration_routes_reduce_nothing(f9, monkeypatch):
                   quotient_compat_check, filtration_report):
         route(pair)
 
+
+def test_filtration_routes_build_no_fraction(f4, f9, f25, f8, monkeypatch):
+    """Every height on the filtration routes is an int, psi's slopes
+    included, so no route builds a Fraction."""
+    pairs = []
+    for field in (f4, f9, f25, f8, FieldParams(3, 3, (1, 2, 0, 1))):
+        rng = make_rng(f"no-fraction-{field.q}")
+        pairs += [random_pair(field, rng, -(field.p ** 2 + 1))
+                  for _ in range(4)]
+    # psi moves a break only past a first break of order p
+    assert any(len(upper_filtration(pair).breaks) == 2 for pair in pairs)
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr("vfunc.ramification.Fraction", refuse)
+    for pair in pairs:
+        for route in (filtration_report, upper_filtration, lower_filtration,
+                      quotient_compat_check):
+            route(pair)
+
 # -- annihilators ------------------------------------------------------------
 
 def test_annihilator_examples(f4):
@@ -331,6 +353,10 @@ def test_filtration_rejects_malformed_break_lists():
                    breaks=((1, s), (3, s)))
     with pytest.raises(InputError):
         Filtration(numbering="sideways", p=2, breaks=())
+    for height in (Fraction(1), True):
+        with pytest.raises(InternalCheckFailed, match="not an integer"):
+            Filtration(numbering="lower", p=2,
+                       breaks=((height, s), (3, Subgroup.trivial(2))))
 
 
 # -- fingerprints ------------------------------------------------------------
