@@ -130,22 +130,36 @@ def _grid(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
-    """x * y in L, on codes.
+    """x * y in L, on codes, one accumulate call per term of one factor
+    and, when needed, the fold's calls.
 
-    Each term of the shorter operand goes against all of the other, one
-    accumulate call per term, on a grid keyed e*w^2 + I*w + J for
-    t^e alpha^I beta^J, w = 2p - 1: I, J <= 2p - 2 < w, so keys add
-    without carries.  The grid is then reduced modulo alpha^p = alpha + g1
-    and beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p)
+    A factor in K, every key a multiple of p^2 (zero included), scales the
+    other: each of its terms adds the other's row shifted by the term's
+    key, with no grid and no fold.  The shorter factor is tried first, so
+    a zero factor makes no call.
+
+    Otherwise each term of the shorter factor goes against all of the
+    other on a grid keyed e*w^2 + I*w + J for t^e alpha^I beta^J,
+    w = 2p - 1: I, J <= 2p - 2 < w, so keys add without carries.  The
+    grid is then reduced modulo alpha^p = alpha + g1 and
+    beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p)
     with k - p + 1 < p, so one pass per generator leaves only exponents
-    below p.
+    below p.  A generator's pass runs only when one of its exponents
+    reached p.
     """
     p, field, w = pair.p, pair.field, 2 * pair.p - 1
     p2, w2 = p * p, w * w
-    to_grid, back = _grid(p)
     accumulate = field.accumulate
     if len(x) > len(y):
         x, y = y, x
+    for scale, other in ((x, y), (y, x)):
+        if not any(key % p2 for key in scale):
+            acc: Codes = {}
+            row = other.items()
+            for key, k in scale.items():
+                accumulate(acc, k, row, key)
+            return acc
+    to_grid, back = _grid(p)
     ys = [(key // p2 * w2 + to_grid[key % p2], k) for key, k in y.items()]
     grid: dict[int, int] = {}
     for key, k in x.items():
@@ -154,6 +168,8 @@ def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
     for step, g in ((w, pair.g1), (1, pair.g2)):
         high = [(key, k) for key, k in grid.items()
                 if key % (step * w) >= p * step]
+        if not high:
+            continue
         for key, _ in high:
             del grid[key]
         accumulate(grid, 0, high, (1 - p) * step)
@@ -179,12 +195,19 @@ class LElement:
     __slots__ = ("pair", "codes")
 
     def __init__(self, pair: ExtensionPair, coeffs: dict):
-        """coeffs: {index: LaurentPoly}; zero coordinates are dropped here."""
+        """coeffs: {index: LaurentPoly}; zero coordinates are dropped here.
+        An index that is not an int in 0..p^2 - 1 (a bool neither) or a
+        coordinate that is not a LaurentPoly over the field raises
+        InputError."""
         field, n = pair.field, pair.p ** 2
         codes: Codes = {}
         for idx, f in coeffs.items():
-            if not 0 <= idx < n:
-                raise InputError(f"coordinate index outside 0..{n - 1}")
+            # type(x) is int, unlike isinstance, rejects a bool
+            if type(idx) is not int or not 0 <= idx < n:
+                raise InputError(f"coordinate index {idx!r} is not an int "
+                                 f"in 0..{n - 1}")
+            if not isinstance(f, LaurentPoly):
+                raise InputError(f"coordinate {f!r} is not a LaurentPoly")
             if f.field != field:
                 raise InputError("coordinate over another field")
             codes.update((e * n + idx, k) for e, k in f.codes)
@@ -223,8 +246,10 @@ class LElement:
     def monomial(cls, pair: ExtensionPair, i: int, j: int,
                  coeff: LaurentPoly | FqElem | int = 1) -> LElement:
         p = pair.p
-        if not (0 <= i < p and 0 <= j < p):
-            raise InputError("monomial exponents out of range")
+        if type(i) is not int or type(j) is not int \
+                or not (0 <= i < p and 0 <= j < p):
+            raise InputError(f"monomial exponents ({i!r}, {j!r}) are not "
+                             f"ints in 0..{p - 1}")
         if not isinstance(coeff, LaurentPoly):
             coeff = LaurentPoly.t_pow(pair.field, 0, coeff)
         return cls(pair, {i * p + j: coeff})
@@ -308,6 +333,8 @@ class LElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> LElement:
+        if type(e) is not int:
+            raise InputError(f"exponent {e!r} is not an int")
         if e < 0:
             raise InputError("negative powers are not defined in the algebra")
         res = LElement.one(self.pair)

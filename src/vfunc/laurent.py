@@ -37,10 +37,14 @@ class LaurentPoly:
 
     def __init__(self, field: FieldParams, terms: dict[int, FqElem] | Iterable[tuple[int, FqElem]]):
         """terms: (exponent, FqElem) pairs or a dict; zeros are dropped, and
-        a coefficient not in field or a repeated exponent raises InputError."""
+        an exponent that is not an int (a bool neither), a coefficient not
+        in field or a repeated exponent raises InputError."""
         items = terms.items() if isinstance(terms, dict) else terms
         row: dict[int, int] = {}
         for e, c in items:
+            # type(x) is int, unlike isinstance, rejects a bool
+            if type(e) is not int:
+                raise InputError(f"bad exponent {e!r}")
             if not isinstance(c, FqElem) or c.field != field:
                 raise InputError(f"coefficient {c!r} is not in {field}")
             if c.is_zero():

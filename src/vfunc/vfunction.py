@@ -55,7 +55,7 @@ from .exact_linalg import kernel
 from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
                                 act_on_terms)
 from .finite_field import MAX_Q, FieldParams, FqElem
-from .laurent import INFINITY, LaurentPoly
+from .laurent import INFINITY
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,8 @@ def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
 
 
 def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
-    """Echelon basis of the solution space, scaled to an integral basis.
+    """Echelon basis of the solution space, with the exponents that scale
+    it to an integral basis.
 
     The kernel is echelonized with the constant coordinate first, so the
     first basis vector is the constant 1 and the second has zero constant
@@ -246,7 +247,9 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     ceil(s'/p^2) with s' = -v_L(m2), measured for each pair by
     LElement.valuation (the tau-orbit product of m2, read through the
     orthogonal basis of K(beta)); s' off the allowed residues (that is,
-    divisible by p^2) would break the lattice splitting and raises.
+    divisible by p^2) would break the lattice splitting and raises.  The
+    scaling by t^(e_k) is left to the caller: on codes it is a key shift
+    by e_k * p^2 (v_oracle).
     """
     p = pair.p
     m1, m2 = (LElement.from_codes(pair, dict(v))
@@ -281,13 +284,16 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
 def v_oracle(pair: ExtensionPair) -> VResult:
     """Brute-force value: lattice basis, equivariant maps, 2x2 determinant.
 
-    The determinant of (phi_i(x_j)) is computed inside L and its extension
-    valuation must be a multiple of p^2; the quotient is the value.
+    The lattice basis u_k = t^(e_k) * m_k is m_k with every key raised by
+    e_k * p^2, a key shift with no product in L.  The determinant of
+    (phi_i(x_j)) is computed inside L and its extension valuation must be
+    a multiple of p^2; the quotient is the value.
     """
     p = pair.p
     tb = theta_lattice(pair)
-    u1 = tb.m1 * LaurentPoly.t_pow(pair.field, tb.e1)
-    u2 = tb.m2 * LaurentPoly.t_pow(pair.field, tb.e2)
+    u1, u2 = (LElement.from_codes(pair, {key + e * p * p: k
+                                         for key, k in m.codes.items()})
+              for m, e in ((tb.m1, tb.e1), (tb.m2, tb.e2)))
     try:
         phi1 = theta_to_xi(u1)
         phi2 = theta_to_xi(u2)

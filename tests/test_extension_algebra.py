@@ -85,6 +85,32 @@ def test_validation_rejects_wrong_typed_components(f4, name, value):
         validate_pair(f4, **parts)
 
 
+@pytest.mark.parametrize("build", [
+    lambda pair, g: LElement(pair, {0: 5}),
+    lambda pair, g: LElement(pair, {"a": g}),
+    lambda pair, g: LElement(pair, {0.5: g}),
+    lambda pair, g: LElement(pair, {True: g}),
+    lambda pair, g: LElement.monomial(pair, 0.5, 0),
+    lambda pair, g: LElement.monomial(pair, 0, True),
+    lambda pair, g: LaurentPoly(g.field, [(0.5, g.field.one())]),
+    lambda pair, g: LaurentPoly(g.field, {True: g.field.one()}),
+    lambda pair, g: LaurentPoly.t_pow(g.field, 0.5),
+    lambda pair, g: LaurentPoly.t_pow(g.field, False),
+    lambda pair, g: LElement.alpha(pair) ** 2.5,
+    lambda pair, g: LElement.alpha(pair) ** True,
+], ids=["int-coordinate", "str-index", "float-index", "bool-index",
+        "float-monomial", "bool-monomial", "float-exponent",
+        "bool-exponent", "float-t-pow", "bool-t-pow", "float-power",
+        "bool-power"])
+def test_constructors_reject_malformed_indices_and_exponents(f4, build):
+    """An index, exponent or power that is not an int, a bool included,
+    and a coordinate that is not a series raise InputError, as kernel and
+    from_pairs do, instead of a bare exception or a float key."""
+    pair = base_pair(f4)
+    with pytest.raises(InputError):
+        build(pair, pair.g1)
+
+
 def test_pole_order_is_capped(f9):
     """Pole order MAX_POLE_ORDER passes; one deeper is rejected before the
     J and dependence checks, so even g2 = g1 reports the pole."""

@@ -301,6 +301,27 @@ def test_action_composes_on_exponent_pairs(field, data):
     assert act((i1 + i2, j1 + j2), x) == act((i1, j1), act((i2, j2), x))
 
 
+def k_factors(pair):
+    """Strategies for factors in K, and one just outside: zero, a nonzero
+    constant, t^e with e < 0, a dense series, and a series in the constant
+    coordinate, listed first, plus an alpha or beta term."""
+    field, p = pair.field, pair.p
+    nonzero = list(field.elements())[1:]
+
+    def in_k(f):
+        return LElement.from_k(pair, f)
+
+    series = laurent(field, list(range(-2 * p, 2 * p)), nonzero, 3 * p)
+    return [st.just(LElement.zero(pair)),
+            st.sampled_from(nonzero).map(
+                lambda c: in_k(LaurentPoly.t_pow(field, 0, c))),
+            st.integers(-3 * p, -1).map(
+                lambda e: in_k(LaurentPoly.t_pow(field, e))),
+            series.map(in_k),
+            st.tuples(series, st.sampled_from([1, p]), series).map(
+                lambda t: LElement(pair, {0: t[0], t[1]: t[2]}))]
+
+
 @over(SMALL_FIELDS)
 @derandomized(max_examples=20)
 @given(data=st.data())
@@ -313,3 +334,42 @@ def test_product_matches_the_laurent_reference(field, data):
     assert u * v == reference_mul(u, v)
     x, y = u + v, u - v
     assert x * y == reference_mul(x, y)
+    # a factor in K scales the other without the grid, in either order
+    for kind in k_factors(u.pair):
+        z = data.draw(kind)
+        assert z * x == reference_mul(z, x)
+        assert x * z == reference_mul(x, z)
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=10)
+@given(data=st.data())
+def test_products_make_no_empty_accumulate_call(field, data):
+    """x * y calls FieldParams.accumulate only with a nonzero row: a factor
+    in K takes no grid, and a fold pass runs only when an exponent reached
+    p.  The draws include alpha^i beta^j * alpha^k beta^l with i + k and
+    j + l below p, which fold nothing."""
+    u, v = data.draw(element_pairs(field))
+    pair, p = u.pair, field.p
+    i, j = data.draw(st.tuples(*[st.integers(0, p - 1)] * 2))
+    k, l = data.draw(st.tuples(st.integers(0, p - 1 - i),
+                               st.integers(0, p - 1 - j)))
+    low = (LElement.monomial(pair, i, j, data.draw(st.sampled_from(
+               list(field.elements())[1:]))), LElement.monomial(pair, k, l))
+    operands = [(u, v), (u + v, u - v), low,
+                (LElement.alpha(pair), LElement.beta(pair))] + [
+                    (data.draw(kind), u) for kind in k_factors(pair)]
+    rows = []
+    accumulate = FieldParams.accumulate
+
+    def recording(self, acc, code, row, shift=0):
+        row = list(row)
+        rows.append(len(row))
+        accumulate(self, acc, code, row, shift)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FieldParams, "accumulate", recording)
+        for x, y in operands:
+            x * y
+            y * x
+    assert rows and 0 not in rows

@@ -186,6 +186,29 @@ def test_conditions_solve_builds_no_laurent_or_L_elements(f9, monkeypatch):
     assert built == ["LaurentPoly", "LElement"]
 
 
+def test_warm_oracle_builds_no_laurent_or_L_elements(f4, f9, f8,
+                                                    monkeypatch):
+    """Once the solve is kept, v_oracle scales the lattice basis by a key
+    shift and multiplies on codes: no LaurentPoly is built and no LElement
+    goes through __init__."""
+    rng = make_rng("warm-oracle")
+    pairs = [random_pair(field, rng, -10) for field in (f4, f9, f8)
+             for _ in range(3)]
+    cold = [v_oracle(pair) for pair in pairs]
+    built = []
+
+    def counting(init):
+        def wrapped(self, *args, **kw):
+            built.append(type(self).__name__)
+            init(self, *args, **kw)
+        return wrapped
+
+    for cls in (LaurentPoly, LElement):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    assert [v_oracle(pair) for pair in pairs] == cold
+    assert built == []
+
+
 def test_lattice_structure(f4):
     w = f4.gen()
     pair = validate_pair(f4, w, series(f4, (-3, 1)),
