@@ -18,11 +18,13 @@ product's coordinates (LElement.valuation).  They stay meaningful for every
 pair accepted by validation without ever constructing a uniformizer.
 
 An element is held on F_q codes alone (see finite_field), as Codes: one
-flat row {e*p^2 + i*p + j: code} of its nonzero terms g^code t^e alpha^i
-beta^j, as a LaurentPoly is one row {e: code}.  key // p^2 is e and
-key % p^2 the monomial index i*p + j, exact for negative e too, so a
-constant's key is its monomial index.  Sums, products, the action and
-norms are FieldParams.accumulate calls on such rows, so none of them
+flat row {e*w^2 + i*w + j: code}, w = 2p - 1, of its nonzero terms
+g^code t^e alpha^i beta^j, as a LaurentPoly is one row {e: code}.  The
+monomial index i*p + j stays the public name of a coordinate; _key and
+_index convert.  A product of two terms has exponents up to 2p - 2 < w,
+so keys add without carries, exact for negative e too: the key of a
+product of terms is the sum of their keys.  Sums, products, the action
+and norms are FieldParams.accumulate calls on such rows, so none of them
 builds an intermediate LaurentPoly or FqElem.
 """
 
@@ -54,8 +56,8 @@ from .laurent import INFINITY, LaurentPoly
 SIGMA = (1, 0)
 TAU = (0, 1)
 
-#: An element of L as LElement holds it: {e*p^2 + i*p + j: code} for each
-#: nonzero term g^code t^e alpha^i beta^j.
+#: An element of L as LElement holds it: {e*w^2 + i*w + j: code}, with
+#: w = 2p - 1 and i, j < p, for each nonzero term g^code t^e alpha^i beta^j.
 Codes = dict[int, int]
 
 #: Most terms g1 or g2 may have; a longer series raises TooManyTerms up
@@ -119,63 +121,59 @@ def validate_pair(field: FieldParams, a: FqElem, g1: LaurentPoly,
     return ExtensionPair(field, a, g1, g2)
 
 
-@lru_cache(maxsize=64)
-def _grid(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_mul's padded grid for one p, with w = 2p - 1: the grid offset
-    I*w + J of each monomial index i*p + j, and back, by offset, the
-    index I*p + J, a monomial's once I, J < p."""
+def _key(p: int, e: int, idx: int) -> int:
+    """The Codes key of t^e alpha^i beta^j, idx = i*p + j."""
     w = 2 * p - 1
-    return (tuple(idx // p * w + idx % p for idx in range(p * p)),
-            tuple(r // w * p + r % w for r in range(w * w)))
+    return (e * w + idx // p) * w + idx % p
+
+
+def _index(p: int, key: int) -> tuple[int, int]:
+    """(e, i*p + j) of the term t^e alpha^i beta^j a Codes key stands for."""
+    w = 2 * p - 1
+    e, r = divmod(key, w * w)
+    return e, r // w * p + r % w
+
+
+def _checked_index(p: int, i: int, j: int) -> int:
+    """The index i*p + j of alpha^i beta^j; exponents that are not ints
+    in 0..p - 1 (a bool neither) raise InputError."""
+    if type(i) is not int or type(j) is not int \
+            or not (0 <= i < p and 0 <= j < p):
+        raise InputError(f"monomial exponents ({i!r}, {j!r}) are not "
+                         f"ints in 0..{p - 1}")
+    return i * p + j
 
 
 def _mul(pair: ExtensionPair, x: Codes, y: Codes) -> Codes:
-    """x * y in L, on codes, one accumulate call per term of one factor
-    and, when needed, the fold's calls.
+    """x * y in L, on codes: one accumulate call per term of the shorter
+    factor and, when needed, the fold's calls.
 
-    A factor in K, every key a multiple of p^2 (zero included), scales the
-    other: each of its terms adds the other's row shifted by the term's
-    key, with no grid and no fold.  The shorter factor is tried first, so
-    a zero factor makes no call.
-
-    Otherwise each term of the shorter factor goes against all of the
-    other on a grid keyed e*w^2 + I*w + J for t^e alpha^I beta^J,
-    w = 2p - 1: I, J <= 2p - 2 < w, so keys add without carries.  The
-    grid is then reduced modulo alpha^p = alpha + g1 and
-    beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p)
+    Each term of the shorter factor adds the other's row shifted by the
+    term's key, since keys add without carries (see Codes); a zero factor
+    makes no call.  The sum is then reduced modulo alpha^p = alpha + g1
+    and beta^p = beta + g2: z^k for k >= p becomes z^(k-p+1) + g * z^(k-p)
     with k - p + 1 < p, so one pass per generator leaves only exponents
     below p.  A generator's pass runs only when one of its exponents
-    reached p.
+    reached p, so a factor in K never folds.
     """
     p, field, w = pair.p, pair.field, 2 * pair.p - 1
-    p2, w2 = p * p, w * w
     accumulate = field.accumulate
     if len(x) > len(y):
         x, y = y, x
-    for scale, other in ((x, y), (y, x)):
-        if not any(key % p2 for key in scale):
-            acc: Codes = {}
-            row = other.items()
-            for key, k in scale.items():
-                accumulate(acc, k, row, key)
-            return acc
-    to_grid, back = _grid(p)
-    ys = [(key // p2 * w2 + to_grid[key % p2], k) for key, k in y.items()]
-    grid: dict[int, int] = {}
+    acc: Codes = {}
     for key, k in x.items():
-        accumulate(grid, k, ys, key // p2 * w2 + to_grid[key % p2])
-    # alpha^I sits at step w and beta^J at step 1 of a key; code 0 is g^0 = 1
+        accumulate(acc, k, y.items(), key)
+    # alpha^i sits at step w and beta^j at step 1 of a key; code 0 is g^0 = 1
     for step, g in ((w, pair.g1), (1, pair.g2)):
-        high = [(key, k) for key, k in grid.items()
+        high = [(key, k) for key, k in acc.items()
                 if key % (step * w) >= p * step]
-        if not high:
-            continue
         for key, _ in high:
-            del grid[key]
-        accumulate(grid, 0, high, (1 - p) * step)
-        for e, k in g.codes:
-            accumulate(grid, k, high, e * w2 - p * step)
-    return {key // w2 * p2 + back[key % w2]: k for key, k in grid.items()}
+            del acc[key]
+        if high:
+            accumulate(acc, 0, high, (1 - p) * step)
+            for e, k in g.codes:
+                accumulate(acc, k, high, e * w * w - p * step)
+    return acc
 
 
 def _orbit_product(pair: ExtensionPair, x: Codes,
@@ -199,18 +197,18 @@ class LElement:
         An index that is not an int in 0..p^2 - 1 (a bool neither) or a
         coordinate that is not a LaurentPoly over the field raises
         InputError."""
-        field, n = pair.field, pair.p ** 2
+        field, p = pair.field, pair.p
         codes: Codes = {}
         for idx, f in coeffs.items():
             # type(x) is int, unlike isinstance, rejects a bool
-            if type(idx) is not int or not 0 <= idx < n:
+            if type(idx) is not int or not 0 <= idx < p * p:
                 raise InputError(f"coordinate index {idx!r} is not an int "
-                                 f"in 0..{n - 1}")
+                                 f"in 0..{p * p - 1}")
             if not isinstance(f, LaurentPoly):
                 raise InputError(f"coordinate {f!r} is not a LaurentPoly")
             if f.field != field:
                 raise InputError("coordinate over another field")
-            codes.update((e * n + idx, k) for e, k in f.codes)
+            codes.update((_key(p, e, idx), k) for e, k in f.codes)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "codes", codes)
 
@@ -245,14 +243,10 @@ class LElement:
     @classmethod
     def monomial(cls, pair: ExtensionPair, i: int, j: int,
                  coeff: LaurentPoly | FqElem | int = 1) -> LElement:
-        p = pair.p
-        if type(i) is not int or type(j) is not int \
-                or not (0 <= i < p and 0 <= j < p):
-            raise InputError(f"monomial exponents ({i!r}, {j!r}) are not "
-                             f"ints in 0..{p - 1}")
+        idx = _checked_index(pair.p, i, j)
         if not isinstance(coeff, LaurentPoly):
             coeff = LaurentPoly.t_pow(pair.field, 0, coeff)
-        return cls(pair, {i * p + j: coeff})
+        return cls(pair, {idx: coeff})
 
     @classmethod
     def alpha(cls, pair: ExtensionPair) -> LElement:
@@ -273,16 +267,22 @@ class LElement:
     @property
     def terms(self) -> tuple[tuple[int, LaurentPoly], ...]:
         """The nonzero coordinates as (i*p + j, coefficient), by index."""
-        n = self.pair.p ** 2
+        p = self.pair.p
         rows: dict[int, dict[int, int]] = {}
         for key, k in self.codes.items():
-            rows.setdefault(key % n, {})[key // n] = k
+            e, idx = _index(p, key)
+            rows.setdefault(idx, {})[e] = k
         return tuple((idx, LaurentPoly.from_codes(self.pair.field, row))
                      for idx, row in sorted(rows.items()))
 
     def coeff(self, i: int, j: int) -> LaurentPoly:
-        return dict(self.terms).get(i * self.pair.p + j,
-                                    LaurentPoly.zero(self.pair.field))
+        """The coefficient of alpha^i beta^j; exponents that are not ints
+        in 0..p - 1 (a bool neither) raise InputError."""
+        p = self.pair.p
+        t_key, key = _key(p, 1, 0), _key(p, 0, _checked_index(p, i, j))
+        return LaurentPoly.from_codes(
+            self.pair.field, {c // t_key: k for c, k in self.codes.items()
+                              if c % t_key == key})
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -352,11 +352,12 @@ class LElement:
         """N_{L/K(beta)}(self) = prod_j tau^j(self), on codes.
 
         The product is tau-fixed, so it lies in K(beta): a term off the
-        powers of beta (key % p^2 >= p) raises InternalCheckFailed.
+        powers of beta, whose key leaves a remainder of p or more by w^2,
+        the key of t (see Codes), raises InternalCheckFailed.
         """
-        p = self.pair.p
+        p, t_key = self.pair.p, _key(self.pair.p, 1, 0)
         y = _orbit_product(self.pair, self.codes, TAU)
-        if any(key % (p * p) >= p for key in y):
+        if any(key % t_key >= p for key in y):
             raise InternalCheckFailed("tau-orbit product is not in K(beta)")
         return y
 
@@ -365,14 +366,15 @@ class LElement:
 
         y = prod_j tau^j(self) lies in K(beta) (_tau_orbit_product), and
         prod_i sigma^i(y) is fixed by the whole group, so it lies in K.  A
-        term off K (key % p^2 != 0) raises InternalCheckFailed.
+        term off K, whose key is no multiple of w^2, the key of t, raises
+        InternalCheckFailed.
         """
-        n = self.pair.p ** 2
+        t_key = _key(self.pair.p, 1, 0)
         y = _orbit_product(self.pair, self._tau_orbit_product(), SIGMA)
-        if any(key % n for key in y):
+        if any(key % t_key for key in y):
             raise InternalCheckFailed("sigma-orbit product is not in K")
-        return LaurentPoly.from_codes(self.pair.field,
-                                      {key // n: k for key, k in y.items()})
+        return LaurentPoly.from_codes(
+            self.pair.field, {key // t_key: k for key, k in y.items()})
 
     def valuation(self):
         """v_L, normalized so v_L(t) = p^2; INFINITY on zero.
@@ -386,10 +388,13 @@ class LElement:
         {1, beta, ..., beta^(p-1)} is an orthogonal basis and
         v_K(N(y)) = min_k (p v_K(y_k) - k j2) (Serre, Local Fields,
         IV.2; Fesenko-Vostokov, Local Fields and Their Extensions, III.2).
-        j2 <= 0 or p | j2 breaks the lemma's hypothesis, which validation
-        rules out, and raises InternalCheckFailed.
+        On codes, a term g^code t^e beta^k of y has the key e*w^2 + k
+        (see Codes), so e and k are its key's quotient and remainder by
+        w^2, the key of t.  j2 <= 0 or p | j2 breaks the lemma's
+        hypothesis, which validation rules out, and raises
+        InternalCheckFailed.
         """
-        p, n = self.pair.p, self.pair.p ** 2
+        p, t_key = self.pair.p, _key(self.pair.p, 1, 0)
         j2 = -self.pair.g2.valuation()
         if j2 <= 0 or j2 % p == 0:
             raise InternalCheckFailed(
@@ -398,8 +403,7 @@ class LElement:
         y = self._tau_orbit_product()
         if not y:
             return INFINITY
-        # a term's key is e*p^2 + k for g^code t^e beta^k
-        return min(p * (key // n) - key % n * j2 for key in y)
+        return min(p * (key // t_key) - key % t_key * j2 for key in y)
 
     def __repr__(self) -> str:
         p = self.pair.p
@@ -425,22 +429,23 @@ def act_on_terms(field: FieldParams, g: tuple[int, int], x: Codes) -> Codes:
 
     alpha -> alpha + j and beta -> beta + i, so alpha^k beta^l goes to
     sum C(k, m) j^(k-m) C(l, r) i^(l-r) alpha^m beta^r.  Each monomial's
-    image is built once per call, and each term adds it scaled and shifted.
+    image is built once per call, and each term adds it scaled and shifted
+    by its power of t.
     """
-    p, n, units = field.p, field.p ** 2, field.q - 1
+    p, w, units = field.p, 2 * field.p - 1, field.q - 1
     alpha_rows = _shift_rows(field, g[1] % p)
     beta_rows = _shift_rows(field, g[0] % p)
     images: dict[int, list[tuple[int, int]]] = {}
     acc: Codes = {}
     for key, k in x.items():
-        e, idx = divmod(key, n)
-        image = images.get(idx)
+        mono = key % (w * w)    # i*w + j, the key of alpha^i beta^j
+        image = images.get(mono)
         if image is None:
-            beta_row = beta_rows[idx % p]
-            image = images[idx] = [
-                (m * p + r, s - units if (s := am + b) >= units else s)
-                for m, am in alpha_rows[idx // p] for r, b in beta_row]
-        field.accumulate(acc, k, image, e * n)
+            beta_row = beta_rows[mono % w]
+            image = images[mono] = [
+                (m * w + r, s - units if (s := am + b) >= units else s)
+                for m, am in alpha_rows[mono // w] for r, b in beta_row]
+        field.accumulate(acc, k, image, key - mono)
     return acc
 
 

@@ -229,13 +229,17 @@ class FieldParams:
     # -- element construction ------------------------------------------------
 
     def elem(self, coeffs: Sequence[int] | int) -> FqElem:
-        if isinstance(coeffs, int):
+        """The element of an int, read mod p, or of a list or tuple of at
+        most n int coordinates, low to high, each read mod p; anything
+        else, a bool included, raises InputError."""
+        # type(x) is int, unlike isinstance, rejects a bool
+        if type(coeffs) is int:
             return self._prime[coeffs % self.p]
-        vec = list(coeffs)
-        if len(vec) > self.n:
-            raise InputError(f"too many coordinates for degree {self.n}")
-        vec += [0] * (self.n - len(vec))
-        return self._elems[self._log[tuple(c % self.p for c in vec)]]
+        if not isinstance(coeffs, (list, tuple)) or len(coeffs) > self.n \
+                or any(type(c) is not int for c in coeffs):
+            raise InputError(f"{coeffs!r} is not an int or <= {self.n} ints")
+        vec = [c % self.p for c in coeffs] + [0] * (self.n - len(coeffs))
+        return self._elems[self._log[tuple(vec)]]
 
     def from_code(self, code: int) -> FqElem:
         """The element whose code is `code` (see FqElem.code)."""
@@ -295,9 +299,9 @@ class FqElem:
     __slots__ = ("field", "code")
 
     def __init__(self, field: FieldParams, coeffs: Sequence[int]):
-        code = field._log.get(tuple(coeffs))
-        if code is None:
-            raise InputError(f"{tuple(coeffs)} is not a reduced vector over F_{field.p}")
+        code = field._log.get(vec := tuple(coeffs))
+        if code is None or any(type(c) is not int for c in vec):
+            raise InputError(f"{vec} is not a reduced vector over F_{field.p}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "code", code)
 
@@ -383,6 +387,8 @@ class FqElem:
         return self * o.inv()
 
     def __pow__(self, e: int) -> FqElem:
+        if type(e) is not int:
+            raise InputError(f"exponent {e!r} is not an int")
         fld = self.field
         if self.is_zero():
             if e < 0:

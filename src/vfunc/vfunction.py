@@ -48,12 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
 from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
-                                act_on_terms)
+                                _key, act_on_terms)
 from .finite_field import MAX_Q, FieldParams, FqElem
 from .laurent import INFINITY
 
@@ -135,17 +135,27 @@ def _matrix(field: FieldParams,
             columns: Iterable[Codes]) -> list[dict[int, int]]:
     """{column: code} rows, kernel's form, of the p^2-row matrix whose k-th
     column is the k-th of columns: elements with constant coordinates on
-    codes, keyed by monomial index, which is the row.  A key outside
-    0..p^2 - 1 is a term off the constants and raises InternalCheckFailed."""
-    n = field.p ** 2
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    codes, whose monomial index is the row.  A key that is not a
+    constant monomial's is a term off the constants and raises
+    InternalCheckFailed."""
+    p = field.p
+    rows = {_key(p, 0, idx): {} for idx in range(p * p)}
     for k, column in enumerate(columns):
         for key, code in column.items():
-            if not 0 <= key < n:
+            row = rows.get(key)
+            if row is None:
                 raise InternalCheckFailed(
                     f"condition image has a non-constant term, key {key}")
-            rows[key][k] = code
-    return rows
+            row[k] = code
+    return list(rows.values())
+
+
+def _monomials(field: FieldParams) -> Iterator[tuple[Codes, Codes]]:
+    """(m, m (sigma - 1)) for each basis monomial m, coefficient 1, in
+    index order: the columns of the conditions matrices."""
+    p, one = field.p, field.one().code
+    ms = ({_key(p, 0, idx): one} for idx in range(p * p))
+    return ((m, _diff(field, SIGMA, m)) for m in ms)
 
 
 def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, int]]:
@@ -154,24 +164,21 @@ def theta_conditions_matrix(pair: ExtensionPair) -> list[dict[int, int]]:
     exact_linalg.kernel takes and returns: column idx holds the images of
     the monomial with index idx and coefficient 1, the first condition
     above the second.  The action and the scaling by a keep coefficients
-    constant, so every image key is a monomial index.  Only pair.field
-    and pair.a enter.
+    constant, so every image term is a constant and its row is its
+    monomial index.  Only pair.field and pair.a enter.
 
     The oracle does not call it: it is the full solve, the reference that
     the tests hold the two-stage solve (_theta_solution) to."""
     field = pair.field
-    one = field.one().code
     first, second = [], []
-    for col in range(pair.p ** 2):
-        m = {col: one}
-        ds = _diff(field, SIGMA, m)
+    for m, ds in _monomials(field):
         first.append(_first_image(field, m, ds))
         second.append(_second_image(field, pair.a, ds, _diff(field, TAU, m)))
     return _matrix(field, first) + _matrix(field, second)
 
 
 #: A kept vector over F_q on the monomial basis: the items of its Codes,
-#: (index, code) pairs of its nonzero constant coordinates, in the order
+#: (key, code) pairs of its nonzero constant coordinates, in the order
 #: they were built.
 Vector = tuple[tuple[int, int], ...]
 
@@ -187,17 +194,13 @@ def _first_condition(
     codes, not the images of all p^2 monomials.  The tuples are immutable,
     so no caller can alter a kept vector.
     """
-    n = field.p ** 2
-    one = field.one().code
-
-    def column(col: int) -> Codes:
-        m = {col: one}
-        return _first_image(field, m, _diff(field, SIGMA, m))
-
-    rows = _matrix(field, map(column, range(n)))
+    rows = _matrix(field, (_first_image(field, m, ds)
+                           for m, ds in _monomials(field)))
+    basis = ({_key(field.p, 0, col): code for col, code in v.items()}
+             for v in kernel(field, rows, len(rows)))
     return tuple((tuple(m.items()), tuple(_diff(field, SIGMA, m).items()),
                   tuple(_diff(field, TAU, m).items()))
-                 for m in kernel(field, rows, n))
+                 for m in basis)
 
 
 @lru_cache(maxsize=MAX_Q)
@@ -248,8 +251,8 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     LElement.valuation (the tau-orbit product of m2, read through the
     orthogonal basis of K(beta)); s' off the allowed residues (that is,
     divisible by p^2) would break the lattice splitting and raises.  The
-    scaling by t^(e_k) is left to the caller: on codes it is a key shift
-    by e_k * p^2 (v_oracle).
+    scaling by t^(e_k) is left to the caller: on codes it is a shift of
+    every key by that of t^(e_k) (v_oracle).
     """
     p = pair.p
     m1, m2 = (LElement.from_codes(pair, dict(v))
@@ -285,13 +288,13 @@ def v_oracle(pair: ExtensionPair) -> VResult:
     """Brute-force value: lattice basis, equivariant maps, 2x2 determinant.
 
     The lattice basis u_k = t^(e_k) * m_k is m_k with every key raised by
-    e_k * p^2, a key shift with no product in L.  The determinant of
+    the key of t^(e_k), a key shift with no product in L.  The determinant of
     (phi_i(x_j)) is computed inside L and its extension valuation must be
     a multiple of p^2; the quotient is the value.
     """
     p = pair.p
     tb = theta_lattice(pair)
-    u1, u2 = (LElement.from_codes(pair, {key + e * p * p: k
+    u1, u2 = (LElement.from_codes(pair, {key + _key(p, e, 0): k
                                          for key, k in m.codes.items()})
               for m, e in ((tb.m1, tb.e1), (tb.m2, tb.e2)))
     try:

@@ -157,6 +157,14 @@ def sweep_pair(field: FieldParams, rng: random.Random,
     return capped_draw(draw)
 
 
+def series(field: FieldParams, *pairs) -> LaurentPoly:
+    """The sum of c * t^e over the (e, c) pairs."""
+    acc = LaurentPoly.zero(field)
+    for e, c in pairs:
+        acc = acc + LaurentPoly.t_pow(field, e, c)
+    return acc
+
+
 def unchecked_pair(field, a, g1, g2) -> ExtensionPair:
     """An ExtensionPair built without running its validation."""
     pair = object.__new__(ExtensionPair)

@@ -35,7 +35,7 @@ from vfunc import (
 )
 from vfunc.laurent import wp
 
-from conftest import capped_draw, random_series, sweep_pair
+from conftest import capped_draw, random_series, series, sweep_pair
 
 STREAM_COUNTS = {2: 500, 3: 500, 5: 50}
 _pair_streams: dict[int, list] = {}
@@ -54,13 +54,6 @@ def pair_stream(p: int) -> list:
         _pair_streams[p] = [sweep_pair(field, rng, bound)
                             for _ in range(STREAM_COUNTS[p])]
     return _pair_streams[p]
-
-
-def _series(field, *pairs):
-    acc = LaurentPoly.zero(field)
-    for e, c in pairs:
-        acc = acc + LaurentPoly.t_pow(field, e, c)
-    return acc
 
 
 def test_criterion_1_formula_equals_oracle():
@@ -89,8 +82,8 @@ def test_criterion_2_counterexample_reproduction():
     prints = set()
     values = {}
     for c in (w, w + 1):
-        pair = validate_pair(f4, w, _series(f4, (-3, 1)),
-                             _series(f4, (-3, c), (-1, 1)))
+        pair = validate_pair(f4, w, series(f4, (-3, 1)),
+                             series(f4, (-3, c), (-1, 1)))
         rf, ro = v_formula(pair), v_oracle(pair)
         ok = ok and rf.value == ro.value
         values[str(c)] = rf.value
@@ -108,8 +101,8 @@ def test_criterion_2_counterexample_reproduction():
     for c in f9.elements():
         if c.is_in_prime_field():
             continue
-        pair = validate_pair(f9, u, _series(f9, (-8, 1)),
-                             _series(f9, (-8, c), (-1, 1)))
+        pair = validate_pair(f9, u, series(f9, (-8, 1)),
+                             series(f9, (-8, c), (-1, 1)))
         rf, ro = v_formula(pair), v_oracle(pair)
         ok = ok and rf.value == ro.value
         prints9.add(filtration_fingerprint(upper_filtration(pair)))
@@ -185,8 +178,8 @@ def test_criterion_4_ramification_suite():
             break
     # the frozen transport example: upper breaks {1, 3} move to lower {1, 5}
     f4 = FieldParams(2, 2)
-    pair = validate_pair(f4, f4.gen(), _series(f4, (-1, 1)),
-                         _series(f4, (-3, f4.gen())))
+    pair = validate_pair(f4, f4.gen(), series(f4, (-1, 1)),
+                         series(f4, (-3, f4.gen())))
     upper = upper_filtration(pair)
     lower = lower_filtration(pair)
     ok = ok and [u for u, _ in upper.breaks] == [1, 3]

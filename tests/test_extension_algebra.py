@@ -26,6 +26,8 @@ from vfunc.extension_algebra import (
     SIGMA,
     TAU,
     LElement,
+    _index,
+    _key,
     act,
     act_on_terms,
     binomial_basis,
@@ -225,16 +227,17 @@ def test_action_on_codes_matches_the_binomial_formula():
             x = {}
             for idx in rng.sample(range(n), rng.randint(1, 4)):
                 for e in rng.sample(range(-3, 3), rng.randint(1, 3)):
-                    x[e * n + idx] = rng.randrange(field.q - 1)
+                    x[_key(p, e, idx)] = rng.randrange(field.q - 1)
             g = (rng.randint(-2 * p, 2 * p), rng.randint(-2 * p, 2 * p))
             expected = {}
             for key, code in x.items():
-                e, (k, l) = key // n, divmod(key % n, p)
+                e, idx = _index(p, key)
+                k, l = divmod(idx, p)
                 for m in range(k + 1):
                     for r in range(l + 1):
                         s = (comb(k, m) * comb(l, r) * g[1] ** (k - m)
                              * g[0] ** (l - r)) % p
-                        out = e * n + m * p + r
+                        out = _key(p, e, m * p + r)
                         expected[out] = (expected.get(out, field.zero())
                                          + field.from_code(code) * s)
             assert act_on_terms(field, g, x) == {
@@ -288,6 +291,27 @@ def test_coordinate_over_another_field_rejected(f4, f9):
         LElement.from_k(pair, LaurentPoly.one(f4))
     with pytest.raises(InputError):
         LElement.monomial(pair, 1, 1, f4.gen())
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -1),
+                                  (0.5, 0), (0, 1.0), (True, 0), (0, False)])
+def test_coeff_rejects_malformed_exponents(f9, i, j):
+    """At p = 3, coeff(0, 3) would read alpha's coordinate and
+    coeff(0.5, 0) a zero if the exponents were not checked as monomial's
+    are."""
+    pair = random_pair(f9, make_rng("coeff-exponents"))
+    with pytest.raises(InputError):
+        LElement.alpha(pair).coeff(i, j)
+
+
+def test_coeff_reads_each_coordinate(f9):
+    rng = make_rng("coeff-read")
+    pair = random_pair(f9, rng)
+    for _ in range(4):
+        x = random_element(pair, rng, density=0.3)
+        dense = coeffs(x)
+        assert [x.coeff(i, j) for i in range(3) for j in range(3)] \
+            == list(dense)
 
 
 def test_arithmetic_and_action_build_no_laurent(f9, monkeypatch):

@@ -211,6 +211,27 @@ def test_unreduced_vector_rejected(f9):
         FqElem(f9, (1, 0, 0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda f: f.elem([0.5, 0]),
+    lambda f: f.elem("12"),
+    lambda f: f.elem([1.0, 0]),
+    lambda f: f.elem([True, 0]),
+    lambda f: f.elem(True),
+    lambda f: f.elem(0.5),
+    lambda f: FqElem(f, (1.0, 0)),
+    lambda f: f.gen() ** 0.5,
+    lambda f: f.gen() ** True,
+], ids=["elem-half", "elem-str", "elem-float", "elem-bool-coordinate",
+        "elem-bool", "elem-float-scalar", "fqelem-float", "pow-half",
+        "pow-bool"])
+def test_non_int_coordinates_and_exponents_rejected(f9, make):
+    """A coordinate or exponent that is not an int, or is a bool, raises
+    InputError rather than a KeyError or TypeError, or being read as an
+    int."""
+    with pytest.raises(InputError):
+        make(f9)
+
+
 def test_field_size_is_capped():
     assert MAX_Q == 4096
     big = FieldParams(2, 12, (1, 0, 0, 1) + (0,) * 8 + (1,))

@@ -345,10 +345,12 @@ def test_product_matches_the_laurent_reference(field, data):
 @derandomized(max_examples=10)
 @given(data=st.data())
 def test_products_make_no_empty_accumulate_call(field, data):
-    """x * y calls FieldParams.accumulate only with a nonzero row: a factor
-    in K takes no grid, and a fold pass runs only when an exponent reached
-    p.  The draws include alpha^i beta^j * alpha^k beta^l with i + k and
-    j + l below p, which fold nothing."""
+    """x * y calls FieldParams.accumulate only with a nonzero row: a fold
+    pass runs only when an exponent reached p.  The draws include
+    alpha^i beta^j * alpha^k beta^l with i + k and j + l below p, which
+    fold nothing.  A product with a factor in K makes exactly
+    min(|x|, |y|) calls, one per term of the shorter factor, whichever
+    factor that is."""
     u, v = data.draw(element_pairs(field))
     pair, p = u.pair, field.p
     i, j = data.draw(st.tuples(*[st.integers(0, p - 1)] * 2))
@@ -372,4 +374,14 @@ def test_products_make_no_empty_accumulate_call(field, data):
         for x, y in operands:
             x * y
             y * x
+        one = field.one()
+        three = LElement.from_k(
+            pair, LaurentPoly(field, {-1: one, 0: one, 1: one}))
+        for z in [data.draw(kind) for kind in k_factors(pair)[:4]] + [three]:
+            for x in (u, LElement.alpha(pair)):
+                before = len(rows)
+                z * x
+                x * z
+                assert len(rows) - before == 2 * min(len(z.codes),
+                                                     len(x.codes))
     assert rows and 0 not in rows

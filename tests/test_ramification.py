@@ -8,10 +8,9 @@ import pytest
 from vfunc import (
     InputError,
     InternalCheckFailed,
-    LaurentPoly,
     NumberingMismatch,
 )
-from vfunc.extension_algebra import ExtensionPair, validate_pair
+from vfunc.extension_algebra import validate_pair
 from vfunc.finite_field import FieldParams
 from vfunc.ramification import (
     Filtration,
@@ -29,14 +28,7 @@ from vfunc.ramification import (
     upper_filtration,
 )
 
-from conftest import make_rng, random_pair, span
-
-
-def series(field, *pairs):
-    acc = LaurentPoly.zero(field)
-    for e, c in pairs:
-        acc = acc + LaurentPoly.t_pow(field, e, c)
-    return acc
+from conftest import make_rng, random_pair, series, span, unchecked_pair
 
 
 def shallow_deep_pair(f4):
@@ -161,14 +153,6 @@ def test_line_breaks_when_leading_terms_cancel(f25):
     ls = lines(pair)
     assert sorted(ln.jump for ln in ls) == [3, 7, 7, 7, 7, 7]
     assert [ln.coeffs for ln in ls if ln.jump == 3] == [(2, 1)]
-
-
-def unchecked_pair(field, a, g1, g2):
-    """An ExtensionPair that skips validation, to reach lines()'s guards."""
-    pair = object.__new__(ExtensionPair)
-    for name, value in (("field", field), ("a", a), ("g1", g1), ("g2", g2)):
-        object.__setattr__(pair, name, value)
-    return pair
 
 
 @pytest.mark.parametrize("g1, g2, message", [

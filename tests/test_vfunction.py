@@ -14,6 +14,7 @@ from vfunc.extension_algebra import (
     SIGMA,
     TAU,
     LElement,
+    _key,
     act,
     validate_pair,
 )
@@ -37,14 +38,8 @@ from conftest import (
     random_j_poly,
     random_laurent,
     random_pair,
+    series,
 )
-
-
-def series(field, *pairs):
-    acc = LaurentPoly.zero(field)
-    for e, c in pairs:
-        acc = acc + LaurentPoly.t_pow(field, e, c)
-    return acc
 
 
 # -- frozen examples ---------------------------------------------------------
@@ -112,14 +107,14 @@ def test_conditions_matrix_shape_and_constancy(f4, f9):
 def test_non_constant_condition_images_raise(f9, monkeypatch, e):
     """Both solves read a constant's key as its monomial index.  With an
     action that also multiplies by t^e, the images leave the constants:
-    the keys e*p^2 + idx must raise InternalCheckFailed, not land in
-    another row or in the second block, on a cold cache."""
+    the keys of t^e alpha^i beta^j must raise InternalCheckFailed, not
+    land in another row or in the second block, on a cold cache."""
     import vfunc.vfunction
     real = vfunc.vfunction.act_on_terms
     pair = random_pair(f9, make_rng("non-constant-images"), -10)
     monkeypatch.setattr(
         vfunc.vfunction, "act_on_terms",
-        lambda field, g, x: {key + e * field.p ** 2: k
+        lambda field, g, x: {key + _key(field.p, e, 0): k
                              for key, k in real(field, g, x).items()})
     with pytest.raises(InternalCheckFailed, match="non-constant"):
         theta_conditions_matrix(pair)
@@ -245,8 +240,11 @@ def pair_with_a(field, a, rng, min_exp=-10):
 def direct_solve(pair):
     """Echelon basis of kernel on the full conditions matrix, as elements
     of L."""
-    basis = kernel(pair.field, theta_conditions_matrix(pair), pair.p ** 2)
-    return [LElement.from_codes(pair, dict(v)) for v in basis]
+    p = pair.p
+    basis = kernel(pair.field, theta_conditions_matrix(pair), p * p)
+    return [LElement.from_codes(pair, {_key(p, 0, idx): code
+                                       for idx, code in v.items()})
+            for v in basis]
 
 
 def test_kept_solve_equals_a_direct_solve(f9):
@@ -312,8 +310,9 @@ def test_kept_solution_is_out_of_callers_reach(f9):
     m1, m2 = dict(tb.m1.codes), dict(tb.m2.codes)
     for key in list(tb.m2.codes):
         tb.m2.codes[key] = (tb.m2.codes[key] + 1) % (f9.q - 1)
-        tb.m2.codes[key + 9] = 0     # a t^1 term beside each coordinate
-    tb.m2.codes[3] = 0
+        # a t^1 term beside each coordinate
+        tb.m2.codes[key + _key(3, 1, 0)] = 0
+    tb.m2.codes[_key(3, 0, 3)] = 0
     tb.m1.codes.clear()
     again = theta_lattice(pair)
     assert again.m1.codes == m1 and again.m2.codes == m2
@@ -330,7 +329,7 @@ def test_kept_first_condition_is_out_of_callers_reach(f9):
     for x in (tb.m1, tb.m2):
         for key in list(x.codes):
             x.codes[key] = (x.codes[key] + 1) % (f9.q - 1)
-        x.codes[4] = 0
+        x.codes[_key(3, 0, 4)] = 0
     other = pair_with_a(f9, next(a for a in f9.elements()
                                  if not a.is_in_prime_field()
                                  and a != pair.a), rng)
