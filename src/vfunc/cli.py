@@ -111,10 +111,6 @@ def _both_routes(pair: ExtensionPair) -> tuple[VResult, VResult, bool]:
     return rf, ro, rf.value == ro.value and rf.s == ro.s
 
 
-def _result_dict(res: VResult) -> dict:
-    return {"value": res.value, "s": res.s, "route": res.route}
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -127,7 +123,7 @@ def cmd_v(args) -> int:
                          "s_oracle"])
         writer.writerow([rf.value, ro.value, str(agree).lower(), rf.s, ro.s])
     else:
-        _emit_json({"formula": _result_dict(rf), "oracle": _result_dict(ro),
+        _emit_json({"formula": rf._asdict(), "oracle": ro._asdict(),
                     "agree": agree})
     return EXIT_OK if agree else EXIT_MISMATCH
 

@@ -30,7 +30,6 @@ builds an intermediate LaurentPoly or FqElem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -71,28 +70,25 @@ MAX_TERMS = 256
 MAX_POLE_ORDER = 10 ** 6
 
 
-@dataclass(frozen=True)
 class ExtensionPair:
-    """Validated datum (field, a, g1, g2) defining the extension and action."""
+    """Validated datum (field, a, g1, g2) defining the extension and action.
 
-    field: FieldParams
-    a: FqElem
-    g1: LaurentPoly
-    g2: LaurentPoly
+    Immutable, and compared, hashed and printed by its four fields."""
 
-    def __post_init__(self):
-        for name, value, kind in (("a", self.a, FqElem),
-                                  ("g1", self.g1, LaurentPoly),
-                                  ("g2", self.g2, LaurentPoly)):
+    __slots__ = ("field", "a", "g1", "g2")
+
+    def __init__(self, field: FieldParams, a: FqElem, g1: LaurentPoly,
+                 g2: LaurentPoly):
+        for name, value, kind in (("a", a, FqElem), ("g1", g1, LaurentPoly),
+                                  ("g2", g2, LaurentPoly)):
             if not isinstance(value, kind):
                 raise InputError(f"{name} must be a {kind.__name__}, "
                                  f"not {type(value).__name__}")
-        if self.a.field != self.field or self.g1.field != self.field \
-                or self.g2.field != self.field:
+        if a.field != field or g1.field != field or g2.field != field:
             raise InputError("pair components over different fields")
-        if self.a.is_in_prime_field():
-            raise AInPrimeField(f"a = {self.a} lies in the prime field")
-        for name, g in (("g1", self.g1), ("g2", self.g2)):
+        if a.is_in_prime_field():
+            raise AInPrimeField(f"a = {a} lies in the prime field")
+        for name, g in (("g1", g1), ("g2", g2)):
             if len(g.codes) > MAX_TERMS:
                 raise TooManyTerms(f"{name} has {len(g.codes)} terms, more "
                                    f"than MAX_TERMS = {MAX_TERMS}")
@@ -101,14 +97,40 @@ class ExtensionPair:
                                   f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")
             if not g.is_in_J():
                 raise NotInJ(f"{name} = {g} is not in J")
-        if self.g1.is_zero():
+        if g1.is_zero():
             raise G1Zero("g1 must be nonzero")
         # g2 = c * g1 fixes c as g2's coefficient at g1's leading exponent
         # over g1's leading coefficient: one candidate, one product.
-        e1, k1 = self.g1.codes[0]
-        c = self.g2.coeff(e1) / self.field.from_code(k1)
-        if c.is_in_prime_field() and self.g2 == c * self.g1:
+        e1, k1 = g1.codes[0]
+        c = g2.coeff(e1) / field.from_code(k1)
+        if c.is_in_prime_field() and g2 == c * g1:
             raise G2DependentOnG1(f"g2 = {c.coeffs[0]} * g1")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ExtensionPair is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("ExtensionPair is immutable")
+
+    def __reduce__(self):
+        return ExtensionPair, (self.field, self.a, self.g1, self.g2)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.a, self.g1, self.g2) \
+            == (other.field, other.a, other.g1, other.g2)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.a, self.g1, self.g2))
+
+    def __repr__(self) -> str:
+        return (f"ExtensionPair(field={self.field!r}, a={self.a!r}, "
+                f"g1={self.g1!r}, g2={self.g2!r})")
 
     @property
     def p(self) -> int:

@@ -19,6 +19,7 @@ and its arithmetic runs on them through FieldParams.accumulate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckFailed, NontrivialUnramifiedPart
@@ -131,8 +132,16 @@ class LaurentPoly:
         return self.codes[-1][0] if self.codes else -INFINITY
 
     def coeff(self, e: int) -> FqElem:
+        """The coefficient of t^e, searched for in the sorted codes; an
+        exponent that is not an int (a bool neither) raises InputError."""
+        if type(e) is not int:
+            raise InputError(f"exponent {e!r} is not an int")
+        codes = self.codes
+        # (e,) sorts just before every (e, code)
+        i = bisect_left(codes, (e,))
         # q - 1 is the code of zero
-        return self.field.from_code(dict(self.codes).get(e, self.field.q - 1))
+        hit = i < len(codes) and codes[i][0] == e
+        return self.field.from_code(codes[i][1] if hit else self.field.q - 1)
 
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.codes)
@@ -189,7 +198,10 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def shift(self, k: int) -> LaurentPoly:
-        """Multiply by t^k."""
+        """Multiply by t^k; a k that is not an int (a bool neither) raises
+        InputError."""
+        if type(k) is not int:
+            raise InputError(f"shift {k!r} is not an int")
         return LaurentPoly.from_codes(self.field,
                                       {e + k: c for e, c in self.codes})
 

@@ -12,15 +12,15 @@ transition functions convert between upper and lower numbering.  Every
 height is an integer: the lines' breaks, the upper breaks (Hasse-Arf) and
 the lower breaks, which are the knots of psi, whose slopes are the
 integers 1, p and p^2.  Only phi, with slopes 1, 1/p and 1/p^2, and
-evaluation between knots use Fraction.
+evaluation between knots use Fraction, and import it where they do: the
+filtration routes never load the fractions module.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, InternalCheckFailed, NumberingMismatch
 from .extension_algebra import ExtensionPair
@@ -28,38 +28,46 @@ from .extension_algebra import ExtensionPair
 # module's namespace; it goes when the benchmark drops that binding.
 from .laurent import INFINITY, LaurentPoly, reduce_to_J  # noqa: F401
 
-Rational = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup of (Z/p)^2, stored by its canonical echelon basis.
-
-    Generators are sigma-tau exponent pairs (i, j), in any number and
-    unreduced.  __post_init__ replaces them with the canonical basis of
-    their span: empty for the trivial subgroup, ((1, j),) or ((0, 1),) for
-    order p, and ((1, 0), (0, 1)) for the full group.  Equality and
-    is_subset rely on this.
-    """
-
+class _SubgroupFields(NamedTuple):
     p: int
     gens: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class Subgroup(_SubgroupFields):
+    """Subgroup of (Z/p)^2, stored by its canonical echelon basis.
+
+    Generators are sigma-tau exponent pairs (i, j), in any number and
+    unreduced.  __new__ replaces them with the canonical basis of their
+    span: empty for the trivial subgroup, ((1, j),) or ((0, 1),) for order
+    p, and ((1, 0), (0, 1)) for the full group.  Equality and is_subset
+    rely on this.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, gens: tuple[tuple[int, int], ...]) -> Subgroup:
         # The first nonzero generator spans a line, scaled to (1, j) or
         # (0, 1); any generator off that line makes the span everything.
-        p = self.p
-        gens: tuple[tuple[int, int], ...] = ()
-        for i, j in self.gens:
-            if not gens:
+        basis: tuple[tuple[int, int], ...] = ()
+        for i, j in gens:
+            if not basis:
                 if i % p:
-                    gens = ((1, j * pow(i, -1, p) % p),)
+                    basis = ((1, j * pow(i, -1, p) % p),)
                 elif j % p:
-                    gens = ((0, 1),)
-            elif (gens[0][0] * j - gens[0][1] * i) % p:
-                gens = ((1, 0), (0, 1))
+                    basis = ((0, 1),)
+            elif (basis[0][0] * j - basis[0][1] * i) % p:
+                basis = ((1, 0), (0, 1))
                 break
-        object.__setattr__(self, "gens", gens)
+        return super().__new__(cls, p, basis)
+
+    @classmethod
+    def _make(cls, iterable) -> Subgroup:
+        # _replace builds through _make, so it canonicalises too
+        return cls(*iterable)
 
     @classmethod
     def full(cls, p: int) -> Subgroup:
@@ -88,8 +96,7 @@ class Subgroup:
         return Subgroup.trivial(self.p)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """Point (lambda : mu) of P^1(F_p) and the break of its member
     lambda*g1 + mu*g2 of J, read off the leading terms of g1 and g2."""
 
@@ -156,27 +163,31 @@ def annihilator(coeffs: tuple[int, int], p: int) -> Subgroup:
     return Subgroup(p, ((lam, -mu),))
 
 
-@dataclass(frozen=True)
-class Filtration:
-    """Break list (u, subgroup just after u) in one of the two numberings.
-
-    The value at height v is the subgroup attached to the largest break
-    strictly below v, and the full group before the first break.  Subgroups
-    decrease strictly along the break list and the last one is trivial.
-    Break heights are ints in both numberings; only the heights v probed
-    by subgroup_at may be Fractions.
-    """
-
+class _FiltrationFields(NamedTuple):
     numbering: str
     p: int
     breaks: tuple[tuple[int, Subgroup], ...]
 
-    def __post_init__(self):
-        if self.numbering not in ("upper", "lower"):
-            raise InputError(f"unknown numbering {self.numbering!r}")
+
+class Filtration(_FiltrationFields):
+    """Break list (u, subgroup just after u) in one of the two numberings.
+
+    The value at height v is the subgroup attached to the largest break
+    strictly below v, and the full group before the first break.  Subgroups
+    decrease strictly along the break list and the last one is trivial;
+    __new__ checks all of this.  Break heights are ints in both
+    numberings; only the heights v probed by subgroup_at may be Fractions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numbering: str, p: int,
+                breaks: tuple[tuple[int, Subgroup], ...]) -> Filtration:
+        if numbering not in ("upper", "lower"):
+            raise InputError(f"unknown numbering {numbering!r}")
         prev: Subgroup | None = None
         last_u: int | None = None
-        for u, sub in self.breaks:
+        for u, sub in breaks:
             if type(u) is not int:
                 raise InternalCheckFailed(
                     f"break height {u!r} is not an integer")
@@ -187,10 +198,16 @@ class Filtration:
                 raise InternalCheckFailed("subgroups not strictly decreasing")
             prev = sub
             last_u = u
-        if self.breaks and self.breaks[-1][1].order != 1:
+        if breaks and breaks[-1][1].order != 1:
             raise InternalCheckFailed("final subgroup is not trivial")
+        return super().__new__(cls, numbering, p, breaks)
 
-    def subgroup_at(self, v: Rational) -> Subgroup:
+    @classmethod
+    def _make(cls, iterable) -> Filtration:
+        # _replace builds through _make, so it checks too
+        return cls(*iterable)
+
+    def subgroup_at(self, v: int | Fraction) -> Subgroup:
         below = [sub for u, sub in self.breaks if u < v]
         return below[-1] if below else Subgroup.full(self.p)
 
@@ -227,8 +244,7 @@ def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
     return Filtration(numbering="upper", p=p, breaks=tuple(breaks))
 
 
-@dataclass(frozen=True)
-class HerbrandFn:
+class HerbrandFn(NamedTuple):
     """Piecewise-linear increasing bijection of [0, inf) fixing 0.
 
     Stored as knots (x, value at x, slope after x) with strictly
@@ -238,9 +254,10 @@ class HerbrandFn:
     returns a Fraction.
     """
 
-    knots: tuple[tuple[int, Rational, Rational], ...]
+    knots: tuple[tuple[int, int | Fraction, int | Fraction], ...]
 
-    def __call__(self, x: Rational) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
+        from fractions import Fraction
         x = Fraction(x)
         if x < 0:
             raise InputError("transition functions live on [0, inf)")
@@ -257,6 +274,9 @@ def _transition(filt: Filtration, expected: str, invert: bool) -> HerbrandFn:
     if filt.numbering != expected:
         raise NumberingMismatch(
             f"expected a {expected}-numbering filtration, got {filt.numbering}")
+    if not invert:
+        # psi, which lower_filtration uses, never needs the module
+        from fractions import Fraction
     g0 = filt.p ** 2
     knots = [(0, 0, 1)]
     for u, sub in filt.breaks:

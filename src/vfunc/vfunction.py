@@ -46,9 +46,8 @@ agreement on random pairs is a strong correctness signal for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckFailed, LatticeAssertionFailed, NotInTheta
 from .exact_linalg import kernel
@@ -58,8 +57,7 @@ from .finite_field import MAX_Q, FieldParams, FqElem
 from .laurent import INFINITY
 
 
-@dataclass(frozen=True)
-class VResult:
+class VResult(NamedTuple):
     """Value of v together with the valuation s it came from.
 
     s is positive: the formula route sets s = -min{v_K(g1), p*v_K(f)}, the
@@ -72,8 +70,7 @@ class VResult:
     route: str
 
 
-@dataclass(frozen=True)
-class ThetaBasis:
+class ThetaBasis(NamedTuple):
     """Integral basis data for the solution lattice.
 
     {t^e1 * m1, t^e2 * m2} is an O_K-basis; m1 is the constant 1 with

@@ -1,7 +1,6 @@
 """End-to-end command tests: outputs, determinism, exit codes."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -483,7 +482,7 @@ def test_oracle_basis_outside_theta_exits_mismatch(tmp_path, capsys,
 
     def corrupted(pair):
         tb = theta_lattice(pair)
-        return dataclasses.replace(tb, m2=tb.m2 + LElement.alpha(pair))
+        return tb._replace(m2=tb.m2 + LElement.alpha(pair))
 
     monkeypatch.setattr(vfunction, "theta_lattice", corrupted)
     path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
@@ -494,16 +493,33 @@ def test_oracle_basis_outside_theta_exits_mismatch(tmp_path, capsys,
     assert "defining conditions" in err
 
 
-def test_importing_the_cli_leaves_numpy_out():
-    # nor the process pool, which only sweep --jobs uses
+#: Modules no start-up of the command line may load: numpy, the process
+#: pool (which only sweep --jobs uses), and what dataclasses and fractions
+#: would pull in.
+NOT_AT_START_UP = ("numpy", "concurrent.futures.process", "dataclasses",
+                   "inspect", "fractions", "decimal")
+
+
+def test_importing_the_cli_leaves_numpy_out(tmp_path):
     src = os.path.dirname(os.path.dirname(vfunc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, vfunc.cli; print('numpy' in sys.modules, "
-         "'concurrent.futures.process' in sys.modules)"],
+         "import sys, vfunc.cli; "
+         f"print([m for m in {NOT_AT_START_UP!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "False False\n"
+    assert done.stdout == "[]\n"
+    # Nor do the filtration and both value routes on a job load fractions:
+    # only phi and evaluating a transition function use them.
+    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+    for command in ("filtration", "v"):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from vfunc.cli import main; code = main(sys.argv[1:]); "
+             "print(code, 'fractions' in sys.modules, file=sys.stderr)",
+             command, "--input", path],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stderr == "0 False\n", command
 
 
 def test_package_exports_validate_pair():

@@ -207,6 +207,34 @@ def test_shift_and_coeff(f4):
     assert f.support() == (-3, -1)
 
 
+def test_coeff_reads_every_exponent(f9):
+    rng = make_rng("coeff-series")
+    span = range(-10, 7)
+    for f in [random_laurent(f9, rng) for _ in range(4)] \
+            + [LaurentPoly.zero(f9)]:
+        terms = dict(f.terms)
+        assert [f.coeff(e) for e in span] \
+            == [terms.get(e, f9.zero()) for e in span]
+
+
+@pytest.mark.parametrize("e", [True, False, 1.0, -2.0, 0.5])
+def test_coeff_rejects_malformed_exponents(f9, e):
+    """For g = w*t + t^-2, coeff(True) and coeff(1.0) would read w, and
+    coeff(-2.0) a 1, if the exponent were not checked."""
+    g = LaurentPoly(f9, [(1, f9.gen()), (-2, f9.one())])
+    with pytest.raises(InputError):
+        g.coeff(e)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, True])
+def test_shift_rejects_malformed_amounts(f9, k):
+    """shift(0.5) would build float exponents, which the constructor
+    rejects."""
+    g = LaurentPoly(f9, [(1, f9.gen()), (-2, f9.one())])
+    with pytest.raises(InputError):
+        g.shift(k)
+
+
 def test_mixed_field_arithmetic_rejected(f4, f9):
     with pytest.raises(InputError):
         LaurentPoly.one(f4) + LaurentPoly.one(f9)

@@ -201,7 +201,9 @@ def test_filtration_routes_build_no_fraction(f4, f9, f25, f8, monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction built")
 
-    monkeypatch.setattr("vfunc.ramification.Fraction", refuse)
+    # ramification imports Fraction where phi needs it, so a route that
+    # built one would meet refuse
+    monkeypatch.setattr("fractions.Fraction", refuse)
     for pair in pairs:
         for route in (filtration_report, upper_filtration, lower_filtration,
                       quotient_compat_check):
