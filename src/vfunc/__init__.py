@@ -6,6 +6,8 @@ tuning-module determinant) and the upper/lower ramification filtrations of
 the corresponding Galois extension, all in exact arithmetic.
 """
 
+import gc
+
 from .errors import (
     AInPrimeField,
     FieldTooLarge,
@@ -113,3 +115,8 @@ __all__ = [
     "v_oracle",
     "validate_pair",
 ]
+
+# Collect the youngest generation once the package is loaded, so that the
+# collector's first pass over what the import made is paid by the import and
+# not by whichever computation first fills that generation.
+gc.collect(0)

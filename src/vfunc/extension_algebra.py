@@ -117,7 +117,19 @@ class ExtensionPair:
         raise AttributeError("ExtensionPair is immutable")
 
     def __reduce__(self):
-        return ExtensionPair, (self.field, self.a, self.g1, self.g2)
+        # The pickled pair was validated when it was built.
+        return ExtensionPair._from_fields, (self.field, self.a, self.g1,
+                                            self.g2)
+
+    @classmethod
+    def _from_fields(cls, field: FieldParams, a: FqElem, g1: LaurentPoly,
+                     g2: LaurentPoly) -> ExtensionPair:
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "field", field)
+        object.__setattr__(pair, "a", a)
+        object.__setattr__(pair, "g1", g1)
+        object.__setattr__(pair, "g2", g2)
+        return pair
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -65,11 +65,6 @@ class Subgroup(_SubgroupFields):
         return super().__new__(cls, p, basis)
 
     @classmethod
-    def _make(cls, iterable) -> Subgroup:
-        # _replace builds through _make, so it canonicalises too
-        return cls(*iterable)
-
-    @classmethod
     def full(cls, p: int) -> Subgroup:
         return cls(p, ((1, 0), (0, 1)))
 
@@ -201,11 +196,6 @@ class Filtration(_FiltrationFields):
         if breaks and breaks[-1][1].order != 1:
             raise InternalCheckFailed("final subgroup is not trivial")
         return super().__new__(cls, numbering, p, breaks)
-
-    @classmethod
-    def _make(cls, iterable) -> Filtration:
-        # _replace builds through _make, so it checks too
-        return cls(*iterable)
 
     def subgroup_at(self, v: int | Fraction) -> Subgroup:
         below = [sub for u, sub in self.breaks if u < v]

@@ -522,6 +522,17 @@ def test_importing_the_cli_leaves_numpy_out(tmp_path):
         assert done.stderr == "0 False\n", command
 
 
+def test_import_leaves_the_youngest_generation_collected():
+    # Where the first collection after import falls must not depend on how
+    # many objects the standard library's imports left in that generation.
+    src = os.path.dirname(os.path.dirname(vfunc.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import gc, vfunc; print(gc.get_count()[0])"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert int(done.stdout) < 20
+
+
 def test_package_exports_validate_pair():
     assert "validate_pair" in vfunc.__all__
 
