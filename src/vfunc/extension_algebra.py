@@ -249,6 +249,9 @@ class LElement:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LElement is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LElement is immutable")
+
     def __reduce__(self):
         return LElement.from_codes, (self.pair, self.codes)
 

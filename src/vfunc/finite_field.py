@@ -13,6 +13,13 @@ tables are O(q), built once per field, so q is capped at MAX_Q.
 
 FqElem wraps one code; Laurent series, elements of L and the kernel's rows
 hold bare codes and combine them through FieldParams.accumulate.
+
+Each field also holds one text table, used both ways: _texts[code] is the
+canonical text of every element (coordinates in 0..p - 1, no spaces) and
+_text_codes maps that text back to its code.  It is O(q), built with the
+other tables.  Printing an element and reading canonical text, as job files
+and LaurentPoly.from_pairs do, are one lookup each; any other spelling falls
+through to the validating parse.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ class FieldParams:
     """
 
     __slots__ = ("p", "n", "modulus", "_hash", "_units", "_vecs", "_log",
-                 "_zech", "_neg_one", "_elems", "_prime")
+                 "_zech", "_neg_one", "_elems", "_prime", "_texts",
+                 "_text_codes")
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
         if n < 1:
@@ -143,10 +151,30 @@ class FieldParams:
         object.__setattr__(self, "_log", log)
         object.__setattr__(self, "_zech", zech)
         object.__setattr__(self, "_neg_one", log[(p - 1,) + (0,) * (n - 1)])
-        object.__setattr__(self, "_elems", tuple(FqElem(self, v) for v in vecs))
+        # One interned element per code, made without FqElem's check: the
+        # walk gave only reduced vectors.
+        elems = []
+        for k in range(units + 1):
+            x = object.__new__(FqElem)
+            object.__setattr__(x, "field", self)
+            object.__setattr__(x, "code", k)
+            elems.append(x)
+        object.__setattr__(self, "_elems", tuple(elems))
         # The prime field by residue, so an integer coerces by one lookup.
         object.__setattr__(self, "_prime", tuple(
             self._elems[log[(c,) + (0,) * (n - 1)]] for c in range(p)))
+        # Canonical texts in the lexicographic order of `vectors`, one
+        # concatenation per text and coordinate, then placed by code.
+        texts = [str(c) for c in range(p)]
+        tails = ["," + s for s in texts]
+        for _ in range(n - 1):
+            texts = [s + t for s in texts for t in tails]
+        codes = [log[v] for v in vectors]
+        by_code = [""] * (units + 1)
+        for k, s in zip(codes, texts):
+            by_code[k] = s
+        object.__setattr__(self, "_texts", tuple(by_code))
+        object.__setattr__(self, "_text_codes", dict(zip(texts, codes)))
 
     # -- arithmetic on codes -------------------------------------------------
 
@@ -221,6 +249,9 @@ class FieldParams:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldParams is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("FieldParams is immutable")
+
     def __reduce__(self):
         # Unpickling would set the slots through __setattr__; rebuild the
         # field, tables and all, from what defines it.
@@ -258,7 +289,12 @@ class FieldParams:
         return self.elem([0, 1])
 
     def parse(self, text: str) -> FqElem:
-        """Parse the "c0,c1,..." text form."""
+        """Parse the "c0,c1,..." text form: n integers, each read mod p and
+        allowed surrounding spaces.  Canonical text is one lookup."""
+        if type(text) is str:
+            code = self._text_codes.get(text)
+            if code is not None:
+                return self._elems[code]
         try:
             coeffs = [int(part.strip()) for part in text.split(",")]
         except ValueError as exc:
@@ -306,6 +342,9 @@ class FqElem:
         object.__setattr__(self, "code", code)
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FqElem is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("FqElem is immutable")
 
     def __reduce__(self):
@@ -419,7 +458,7 @@ class FqElem:
         return all(c == 0 for c in self.coeffs[1:])
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return self.field._texts[self.code]
 
     def __repr__(self) -> str:
         return f"FqElem({self.field.p}^{self.field.n}: {self})"

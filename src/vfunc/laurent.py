@@ -59,6 +59,9 @@ class LaurentPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LaurentPoly is immutable")
+
     def __reduce__(self):
         return LaurentPoly.from_codes, (self.field, dict(self.codes))
 
@@ -69,9 +72,15 @@ class LaurentPoly:
                    row: dict[int, int]) -> LaurentPoly:
         """The series of an {exponent: code} row of nonzero codes, the form
         FieldParams.accumulate fills; the row itself is not kept."""
+        return cls._wrap(field, tuple(sorted(row.items())))
+
+    @classmethod
+    def _wrap(cls, field: FieldParams,
+              codes: tuple[tuple[int, int], ...]) -> LaurentPoly:
+        """The series whose codes are `codes`, unchecked."""
         f = object.__new__(cls)
         object.__setattr__(f, "field", field)
-        object.__setattr__(f, "codes", tuple(sorted(row.items())))
+        object.__setattr__(f, "codes", codes)
         return f
 
     @classmethod
@@ -91,21 +100,31 @@ class LaurentPoly:
     def from_pairs(cls, field: FieldParams, pairs: Sequence[Sequence]) -> LaurentPoly:
         """Build from the JSON form [[exponent, "c0,c1"], ...].
 
-        Exponents must be strictly increasing integers.
+        Exponents must be strictly increasing integers, which also sorts
+        the terms and rules out a repeated one.  Each term is checked in
+        turn, the first fault raising: its length, its exponent, the order,
+        then its coefficient, read as FieldParams.parse reads it; canonical
+        text is one lookup in the field's text table.
         """
-        terms = []
+        text_codes, zero = field._text_codes, field._units
+        row = []
         prev = None
         for pair in pairs:
             if len(pair) != 2:
                 raise InputError(f"bad term {pair!r}: expected [exponent, coeffs]")
             e, txt = pair
-            if not isinstance(e, int) or isinstance(e, bool):
+            # type(x) is int, unlike isinstance, rejects a bool
+            if type(e) is not int:
                 raise InputError(f"bad exponent {e!r}")
             if prev is not None and e <= prev:
                 raise InputError("exponents must be strictly increasing")
             prev = e
-            terms.append((e, field.parse(txt)))
-        return cls(field, terms)
+            k = text_codes.get(txt) if type(txt) is str else None
+            if k is None:
+                k = field.parse(txt).code
+            if k != zero:
+                row.append((e, k))
+        return cls._wrap(field, tuple(row))
 
     @property
     def terms(self) -> tuple[tuple[int, FqElem], ...]:
@@ -114,7 +133,8 @@ class LaurentPoly:
         return tuple((e, elem(k)) for e, k in self.codes)
 
     def to_pairs(self) -> list[list]:
-        return [[e, str(c)] for e, c in self.terms]
+        texts = self.field._texts
+        return [[e, texts[k]] for e, k in self.codes]
 
     # -- queries -------------------------------------------------------------
 

@@ -86,6 +86,28 @@ def test_filtration_report(tmp_path, capsys):
     assert data["upper"][0]["generators"] == ["s1t0"]
 
 
+#: The leading terms of g1 and g2 cancel on the line (2 : 1).
+P5_CANCEL_JOB = {
+    "p": 5, "n": 2, "a": "0,1",
+    "g1": [[-7, "1,0"], [-3, "1,0"]],
+    "g2": [[-7, "3,0"], [-1, "1,0"]],
+}
+
+
+@pytest.mark.parametrize("spelling", [" 3 , 0", "8,5"])
+def test_respelled_job_gives_the_same_bytes(tmp_path, capsys, spelling):
+    """Coefficients are integers read mod p, spaces allowed around them:
+    a respelled job prints what the canonical one prints."""
+    respelled = dict(P5_CANCEL_JOB, a="5,6", g1=[[-7, "-4,0"], [-3, "1,0"]],
+                     g2=[[-7, spelling], [-1, "1,0"]])
+    paths = [write_job(tmp_path, "canonical.json", P5_CANCEL_JOB),
+             write_job(tmp_path, "respelled.json", respelled)]
+    for command in ("v", "filtration"):
+        canonical, other = (run_cli([command, "--input", path], capsys)
+                            for path in paths)
+        assert canonical == other and canonical[0] == EXIT_OK
+
+
 def test_counterexample_p2(capsys):
     code, out, _ = run_cli(["counterexample", "--p", "2", "--n", "2"], capsys)
     assert code == EXIT_OK
@@ -295,6 +317,13 @@ def test_exit_code_parse_failures(tmp_path, capsys):
         path = write_job(tmp_path, "typed.json", dict(COUNTEREXAMPLE_JOB, **bad))
         code, _, err = run_cli(["v", "--input", path], capsys)
         assert code == EXIT_PARSE and "parse error" in err, bad
+
+    # a coefficient that is not text, in a or in a series
+    for bad in ({"a": 1}, {"g1": [[-3, 1]]}, {"g2": [[-3, [0, 1]]]}):
+        path = write_job(tmp_path, "coeff.json", dict(COUNTEREXAMPLE_JOB, **bad))
+        code, out, err = run_cli(["v", "--input", path], capsys)
+        assert code == EXIT_PARSE and out == "", bad
+        assert err.startswith("parse error: malformed job field"), bad
 
 
 @pytest.mark.parametrize("payload", [

@@ -50,6 +50,10 @@ def test_parse_round_trip(f9):
         f9.parse("1")
     with pytest.raises(InputError):
         f9.parse("1,x")
+    # text or nothing: the CLI reads AttributeError as a malformed job field
+    for bad in (1, [1, 0], (1, 0), None):
+        with pytest.raises(AttributeError):
+            f9.parse(bad)
 
 
 def test_inverse_and_division(f25):

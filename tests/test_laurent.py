@@ -98,6 +98,29 @@ def test_json_pairs_round_trip(f9):
         LaurentPoly.from_pairs(f9, [["-1", "1,0"]])
 
 
+@pytest.mark.parametrize("pairs, error, match", [
+    # the first faulty term raises, whatever a later one holds
+    ([[-3, "1,x"], [True, "1,0"]], InputError, "bad field element"),
+    ([[-3, [1, 0]], [-1, "1,0", 0]], AttributeError, None),
+    ([[-3, "1,0"], [False, "1,x"]], InputError, "bad exponent"),
+    # within a term: its length, its exponent, the order, its coefficient
+    ([[-3, "1,0", 0]], InputError, "bad term"),
+    ([["-3", 3]], InputError, "bad exponent"),
+    ([[-3, "1,0"], [-4, 3]], InputError, "strictly increasing"),
+    ([[-3, "1,0"], [-3, "0,1"]], InputError, "strictly increasing"),
+    ([[-3, "1,0"], [-4, "0,1"]], InputError, "strictly increasing"),
+    ([[-3, "1,x"]], InputError, "bad field element"),
+    ([[-3, "1"]], InputError, "has 1 coordinates, expected 2"),
+    # not text: the CLI reads AttributeError as a malformed job field
+    ([[-3, 3]], AttributeError, None),
+    ([[-3, [1, 0]]], AttributeError, None),
+])
+def test_from_pairs_raises_at_the_first_fault(f9, pairs, error, match):
+    with pytest.raises(error, match=match) as caught:
+        LaurentPoly.from_pairs(f9, pairs)
+    assert type(caught.value) is error
+
+
 def check_reduction_contract(g, rep, witness):
     assert rep.is_in_J()
     residue = g - rep - wp(witness)

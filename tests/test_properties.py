@@ -113,6 +113,37 @@ def elements(draw, field: FieldParams, max_pole: int, max_coords: int):
     return LElement.gamma(pair) * z + r
 
 
+TEXT_FIELDS = [FieldParams(2, 2), F8, FieldParams(3, 2), FieldParams(5, 2),
+               F27, FieldParams(7, 2)]
+
+
+@st.composite
+def spellings(draw, x):
+    """A text that reads as x: each coordinate c as c + k*p with k in
+    -2..2, so also negative, with up to two leading zeros and surrounding
+    spaces.  Every draw shrinks toward the canonical text."""
+    p = x.field.p
+    parts = []
+    for c in x.coeffs:
+        c += p * draw(st.integers(-2, 2))
+        digits = "0" * draw(st.integers(0, 2)) + str(abs(c))
+        parts.append(draw(st.sampled_from(["", " ", "  "]))
+                     + "-" * (c < 0) + digits
+                     + draw(st.sampled_from(["", " "])))
+    return ",".join(parts)
+
+
+@st.composite
+def job_series(draw, field: FieldParams):
+    """([[exponent, text], ...], the coefficients): strictly increasing
+    exponents, zero coefficients among them, each text a spelling."""
+    exponents = sorted(draw(st.sets(st.integers(-12, 4), max_size=8)))
+    coeffs = [draw(st.sampled_from(list(field.elements())))
+              for _ in exponents]
+    return ([[e, draw(spellings(x))] for e, x in zip(exponents, coeffs)],
+            coeffs)
+
+
 def derandomized(max_examples: int, explain: bool = True):
     """explain=False leaves out Hypothesis's explain phase, which reruns a
     shrunk failure with each draw varied: over dense norms in L that takes
@@ -385,3 +416,25 @@ def test_products_make_no_empty_accumulate_call(field, data):
                 assert len(rows) - before == 2 * min(len(z.codes),
                                                      len(x.codes))
     assert rows and 0 not in rows
+
+
+@over(TEXT_FIELDS)
+@derandomized(max_examples=60)
+@given(data=st.data())
+def test_from_pairs_reads_every_spelling_as_parse_does(field, data):
+    """The text table gives what the validating parse gives, and a series
+    printed by to_pairs reads back as itself."""
+    pairs, coeffs = data.draw(job_series(field))
+    assert [field.parse(t) for _, t in pairs] == coeffs
+    g = LaurentPoly.from_pairs(field, pairs)
+    assert g == LaurentPoly(field, [(e, field.parse(t)) for e, t in pairs])
+    assert LaurentPoly.from_pairs(field, g.to_pairs()) == g
+    assert g.to_pairs() == [[e, ",".join(map(str, x.coeffs))]
+                            for e, x in g.terms]
+
+
+@over(TEXT_FIELDS)
+def test_every_element_prints_its_coordinates(field):
+    for x in field.elements():
+        assert str(x) == ",".join(map(str, x.coeffs))
+        assert field.parse(str(x)) is x

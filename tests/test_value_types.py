@@ -1,7 +1,8 @@
 """Value semantics of the record types ExtensionPair, VResult, ThetaBasis,
 Line, Subgroup, Filtration and HerbrandFn: equal fields compare and hash
 alike, fields refuse assignment and deletion, repr prints the fields, and
-pickle gives an equal value back."""
+pickle gives an equal value back.  The algebra types FieldParams, FqElem,
+LaurentPoly and LElement refuse deletion too."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 from vfunc.errors import AInPrimeField, InputError, InternalCheckFailed
 from vfunc.extension_algebra import ExtensionPair, LElement, validate_pair
+from vfunc.finite_field import FieldParams
 from vfunc.laurent import LaurentPoly
 from vfunc.ramification import (Filtration, HerbrandFn, Line, Subgroup,
                                 herbrand_phi, herbrand_psi, lines,
@@ -86,6 +88,27 @@ def test_value_semantics(f4, name):
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is type(value)
     assert back == value and hash(back) == hash(value)
+
+
+@pytest.mark.parametrize("name", ["FieldParams", "FqElem", "LaurentPoly",
+                                  "LElement"])
+def test_algebra_values_refuse_deletion(name):
+    # a field of its own: a deletion that went through would spoil f4
+    field = FieldParams(2, 2)
+    pair = validate_pair(**_parts(field))
+    value = {"FieldParams": field,
+             "FqElem": field.parse("0,1"),   # the field's interned element
+             "LaurentPoly": pair.g2,
+             "LElement": LElement.alpha(pair) + LElement.from_k(
+                 pair, pair.g1)}[name]
+    text, key = repr(value), hash(value)
+    for slot in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            delattr(value, slot)
+    assert repr(value) == text and hash(value) == key
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert field.parse("0,1") * field.gen() == field.parse("1,1")
+    assert str(pair.g2 * pair.g1) == "(0,1)*t^-6 + (1,0)*t^-4"
 
 
 def test_constructors_still_check(f4):
