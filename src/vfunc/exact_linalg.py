@@ -94,7 +94,7 @@ def kernel(field: FieldParams, rows: Sequence[dict[int, int]],
     # type(x) is int, unlike isinstance, rejects a bool
     if type(ncols) is not int or ncols < 0:
         raise InputError(f"column count {ncols!r} is not a non-negative int")
-    units, minus_one = field.q - 1, field.elem(-1).code
+    units, minus_one = field._units, field._neg_one
     R = []
     for row in rows:
         if not isinstance(row, dict):

@@ -19,7 +19,13 @@ canonical text of every element (coordinates in 0..p - 1, no spaces) and
 _text_codes maps that text back to its code.  It is O(q), built with the
 other tables.  Printing an element and reading canonical text, as job files
 and LaurentPoly.from_pairs do, are one lookup each; any other spelling falls
-through to the validating parse.
+through to the validating parse, which reads each coordinate as spaces,
+an optional "-", ASCII digits and spaces, and rejects anything else.
+
+Frozen is the base of the value types here, in laurent and in
+extension_algebra: slots set once, by a checking constructor through _set
+or unchecked through _make, and refused after; pickling goes through
+_make, so an unpickled value is not checked again.
 """
 
 from __future__ import annotations
@@ -72,7 +78,38 @@ def _monic_polys(deg: int, p: int) -> Iterator[list[int]]:
         yield list(tail) + [1]
 
 
-class FieldParams:
+class Frozen:
+    """Base of the immutable value types: a subclass names its fields in
+    __slots__, sets them once and refuses assignment and deletion after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *values) -> None:
+        """Set the slots to values in slot order; for a constructor, after
+        its checks."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """The value whose slots hold values in slot order, unchecked."""
+        obj = object.__new__(cls)
+        obj._set(*values)
+        return obj
+
+    def __reduce__(self):
+        # The pickled value was checked when it was built.
+        return self._make, tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
+class FieldParams(Frozen):
     """Immutable description of F_{p^n}: the prime, the degree, the modulus.
 
     Construction verifies that p is prime and that the modulus is a monic
@@ -108,11 +145,8 @@ class FieldParams:
             for cand in _monic_polys(d, p):
                 if not any(_poly_mod(list(mod), cand, p)):
                     raise InputError(f"modulus {mod} is reducible over F_{p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "modulus", mod)
-        object.__setattr__(self, "_hash", hash((p, n, mod)))
-        self._build_tables()
+        self._set(p, n, mod)    # what _vec_mul reads
+        self._set(p, n, mod, hash((p, n, mod)), *self._build_tables())
 
     def _vec_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Product of coordinate vectors, reduced by the modulus."""
@@ -123,8 +157,9 @@ class FieldParams:
                     prod[i + j] += x * y
         return tuple(_poly_mod(prod, self.modulus, self.p))
 
-    def _build_tables(self) -> None:
-        """Log, antilog and Zech tables from the first primitive element.
+    def _build_tables(self) -> tuple:
+        """Log, antilog and Zech tables from the first primitive element,
+        with the rest of the slots after _hash, in slot order.
 
         Candidates run in lexicographic order of coordinate vectors.  Each
         one's powers are walked until they return to 1, which takes at most
@@ -146,23 +181,11 @@ class FieldParams:
         vecs.append((0,) * n)
         log = {v: k for k, v in enumerate(vecs)}
         zech = tuple(log[((v[0] + 1) % p,) + v[1:]] for v in vecs[:units])
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_vecs", tuple(vecs))
-        object.__setattr__(self, "_log", log)
-        object.__setattr__(self, "_zech", zech)
-        object.__setattr__(self, "_neg_one", log[(p - 1,) + (0,) * (n - 1)])
-        # One interned element per code, made without FqElem's check: the
-        # walk gave only reduced vectors.
-        elems = []
-        for k in range(units + 1):
-            x = object.__new__(FqElem)
-            object.__setattr__(x, "field", self)
-            object.__setattr__(x, "code", k)
-            elems.append(x)
-        object.__setattr__(self, "_elems", tuple(elems))
+        # One interned element per code, unchecked: the walk gave only
+        # reduced vectors.
+        elems = tuple(FqElem._make(self, k) for k in range(units + 1))
         # The prime field by residue, so an integer coerces by one lookup.
-        object.__setattr__(self, "_prime", tuple(
-            self._elems[log[(c,) + (0,) * (n - 1)]] for c in range(p)))
+        prime = tuple(elems[log[(c,) + (0,) * (n - 1)]] for c in range(p))
         # Canonical texts in the lexicographic order of `vectors`, one
         # concatenation per text and coordinate, then placed by code.
         texts = [str(c) for c in range(p)]
@@ -173,8 +196,8 @@ class FieldParams:
         by_code = [""] * (units + 1)
         for k, s in zip(codes, texts):
             by_code[k] = s
-        object.__setattr__(self, "_texts", tuple(by_code))
-        object.__setattr__(self, "_text_codes", dict(zip(texts, codes)))
+        return (units, tuple(vecs), log, zech, log[(p - 1,) + (0,) * (n - 1)],
+                elems, prime, tuple(by_code), dict(zip(texts, codes)))
 
     # -- arithmetic on codes -------------------------------------------------
 
@@ -246,15 +269,8 @@ class FieldParams:
     def __repr__(self) -> str:
         return f"FieldParams(p={self.p}, n={self.n}, modulus={self.modulus})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FieldParams is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FieldParams is immutable")
-
     def __reduce__(self):
-        # Unpickling would set the slots through __setattr__; rebuild the
-        # field, tables and all, from what defines it.
+        # Rebuild the field, tables and all, from what defines it.
         return FieldParams, (self.p, self.n, self.modulus)
 
     # -- element construction ------------------------------------------------
@@ -289,16 +305,20 @@ class FieldParams:
         return self.elem([0, 1])
 
     def parse(self, text: str) -> FqElem:
-        """Parse the "c0,c1,..." text form: n integers, each read mod p and
-        allowed surrounding spaces.  Canonical text is one lookup."""
+        """Parse the "c0,c1,..." text form: n integers, each an optional
+        "-" and ASCII digits between spaces, read mod p.  Canonical text is
+        one lookup."""
         if type(text) is str:
             code = self._text_codes.get(text)
             if code is not None:
                 return self._elems[code]
-        try:
-            coeffs = [int(part.strip()) for part in text.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad field element {text!r}") from exc
+        coeffs = []
+        for part in text.split(","):
+            # int() would also take "+3", "1_0" and non-ASCII digits
+            digits = part.strip(" ").removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise InputError(f"bad field element {text!r}")
+            coeffs.append(int(part))
         if len(coeffs) != self.n:
             raise InputError(
                 f"element {text!r} has {len(coeffs)} coordinates, expected {self.n}")
@@ -326,7 +346,7 @@ class FieldParams:
         return None
 
 
-class FqElem:
+class FqElem(Frozen):
     """One element of F_{p^n}; immutable, hashable, with operator arithmetic.
 
     Holds the field and the element's code; `coeffs` is derived from it.
@@ -338,17 +358,7 @@ class FqElem:
         code = field._log.get(vec := tuple(coeffs))
         if code is None or any(type(c) is not int for c in vec):
             raise InputError(f"{vec} is not a reduced vector over F_{field.p}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FqElem is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FqElem is immutable")
-
-    def __reduce__(self):
-        return FqElem, (self.field, self.coeffs)
+        self._set(field, code)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

@@ -23,14 +23,14 @@ from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckFailed, NontrivialUnramifiedPart
-from .finite_field import FieldParams, FqElem
+from .finite_field import FieldParams, FqElem, Frozen
 
 #: Valuation of the zero series.  Comparisons and arithmetic with it follow
 #: float-infinity semantics, which match the absorbing rules needed here.
 INFINITY = float("inf")
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Immutable Laurent polynomial: codes holds the (exponent, code) pairs
     of its nonzero coefficients by exponent, and terms reads them back."""
 
@@ -53,17 +53,7 @@ class LaurentPoly:
             if e in row:
                 raise InputError(f"exponent {e} given twice")
             row[e] = c.code
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "codes", tuple(sorted(row.items())))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return LaurentPoly.from_codes, (self.field, dict(self.codes))
+        self._set(field, tuple(sorted(row.items())))
 
     # -- constructors --------------------------------------------------------
 
@@ -72,16 +62,7 @@ class LaurentPoly:
                    row: dict[int, int]) -> LaurentPoly:
         """The series of an {exponent: code} row of nonzero codes, the form
         FieldParams.accumulate fills; the row itself is not kept."""
-        return cls._wrap(field, tuple(sorted(row.items())))
-
-    @classmethod
-    def _wrap(cls, field: FieldParams,
-              codes: tuple[tuple[int, int], ...]) -> LaurentPoly:
-        """The series whose codes are `codes`, unchecked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "field", field)
-        object.__setattr__(f, "codes", codes)
-        return f
+        return cls._make(field, tuple(sorted(row.items())))
 
     @classmethod
     def zero(cls, field: FieldParams) -> LaurentPoly:
@@ -124,7 +105,7 @@ class LaurentPoly:
                 k = field.parse(txt).code
             if k != zero:
                 row.append((e, k))
-        return cls._wrap(field, tuple(row))
+        return cls._make(field, tuple(row))
 
     @property
     def terms(self) -> tuple[tuple[int, FqElem], ...]:
@@ -159,9 +140,9 @@ class LaurentPoly:
         codes = self.codes
         # (e,) sorts just before every (e, code)
         i = bisect_left(codes, (e,))
-        # q - 1 is the code of zero
+        # _units is the code of zero
         hit = i < len(codes) and codes[i][0] == e
-        return self.field.from_code(codes[i][1] if hit else self.field.q - 1)
+        return self.field.from_code(codes[i][1] if hit else self.field._units)
 
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.codes)
@@ -195,10 +176,10 @@ class LaurentPoly:
         return LaurentPoly.from_codes(self.field, acc)
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        return self._plus(self.field.one().code, other)
+        return self._plus(0, other)     # code 0 is g^0 = 1
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self._plus(self.field.elem(-1).code, other)
+        return self._plus(self.field._neg_one, other)
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly.zero(self.field) - self
@@ -227,7 +208,7 @@ class LaurentPoly:
 
     def frobenius(self) -> LaurentPoly:
         """The p-power map: coefficients to the p, exponents times p."""
-        p, units = self.field.p, self.field.q - 1   # (g^k)^p = g^(k*p)
+        p, units = self.field.p, self.field._units   # (g^k)^p = g^(k*p)
         return LaurentPoly.from_codes(
             self.field, {p * e: k * p % units for e, k in self.codes})
 
@@ -258,7 +239,7 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     constant term becomes an FqElem, for its trace and root.
     """
     field = g.field
-    p, units, one = field.p, field.q - 1, field.one().code
+    p, units = field.p, field._units
     root = p ** (field.n - 1)
     work = dict(g.codes)
     witness: dict[int, int] = {}
@@ -268,8 +249,8 @@ def reduce_to_J(g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
             if k is None:   # cancelled by an earlier root this round
                 continue
             r = ((e // p, k * root % units),)
-            field.accumulate(work, one, r)
-            field.accumulate(witness, one, r)
+            field.accumulate(work, 0, r)    # code 0 is g^0 = 1
+            field.accumulate(witness, 0, r)
     k0 = work.pop(0, None)
     if k0 is not None:
         c0 = field.from_code(k0)

@@ -105,7 +105,7 @@ def v_formula(pair: ExtensionPair) -> VResult:
 def _diff(field: FieldParams, g: tuple[int, int], y: Codes) -> Codes:
     """y (g - 1) for y on F_q codes, as codes."""
     out = act_on_terms(field, g, y)
-    field.accumulate(out, field.elem(-1).code, y.items())
+    field.accumulate(out, field._neg_one, y.items())
     return out
 
 
@@ -113,10 +113,9 @@ def _first_image(field: FieldParams, m: Codes, ds: Codes) -> Codes:
     """m (sigma - 1)^2, the first condition's image, given ds = m (sigma - 1),
     as m (sigma^2 - 1) - 2 ds with sigma^2 = (2, 0): acting on m, not on the
     denser ds, keeps the cost on a monomial O(p).  a does not enter."""
-    minus_one = field.elem(-1).code
     out = _diff(field, (2, 0), m)
-    field.accumulate(out, minus_one, ds.items())
-    field.accumulate(out, minus_one, ds.items())
+    field.accumulate(out, field._neg_one, ds.items())
+    field.accumulate(out, field._neg_one, ds.items())
     return out
 
 
@@ -150,8 +149,8 @@ def _matrix(field: FieldParams,
 def _monomials(field: FieldParams) -> Iterator[tuple[Codes, Codes]]:
     """(m, m (sigma - 1)) for each basis monomial m, coefficient 1, in
     index order: the columns of the conditions matrices."""
-    p, one = field.p, field.one().code
-    ms = ({_key(p, 0, idx): one} for idx in range(p * p))
+    p = field.p
+    ms = ({_key(p, 0, idx): 0} for idx in range(p * p))     # code 0 is 1
     return ((m, _diff(field, SIGMA, m)) for m in ms)
 
 
@@ -228,7 +227,7 @@ def _theta_solution(field: FieldParams, a: FqElem) -> tuple[Vector, Vector]:
         raise InternalCheckFailed(
             f"solution space has dimension {len(basis)}, expected 2")
     m1, m2 = basis
-    if m1 != ((0, field.one().code),):
+    if m1 != ((0, 0),):     # key 0 is the constant, code 0 is g^0 = 1
         raise InternalCheckFailed("first echelon vector is not the constant 1")
     if any(i == 0 for i, _ in m2):
         raise InternalCheckFailed("second echelon vector has a constant part")
@@ -252,7 +251,7 @@ def theta_lattice(pair: ExtensionPair) -> ThetaBasis:
     every key by that of t^(e_k) (v_oracle).
     """
     p = pair.p
-    m1, m2 = (LElement.from_codes(pair, dict(v))
+    m1, m2 = (LElement._make(pair, dict(v))
               for v in _theta_solution(pair.field, pair.a))
     val = m2.valuation()
     if val == INFINITY:
@@ -278,7 +277,7 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
     if (_first_image(field, x, ds)
             or _second_image(field, m.pair.a, ds, _diff(field, TAU, x))):
         raise NotInTheta("element does not satisfy the defining conditions")
-    return LElement.from_codes(m.pair, ds), m
+    return LElement._make(m.pair, ds), m
 
 
 def v_oracle(pair: ExtensionPair) -> VResult:
@@ -291,8 +290,8 @@ def v_oracle(pair: ExtensionPair) -> VResult:
     """
     p = pair.p
     tb = theta_lattice(pair)
-    u1, u2 = (LElement.from_codes(pair, {key + _key(p, e, 0): k
-                                         for key, k in m.codes.items()})
+    u1, u2 = (LElement._make(pair, {key + _key(p, e, 0): k
+                                    for key, k in m.codes.items()})
               for m, e in ((tb.m1, tb.e1), (tb.m2, tb.e2)))
     try:
         phi1 = theta_to_xi(u1)

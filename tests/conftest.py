@@ -167,10 +167,7 @@ def series(field: FieldParams, *pairs) -> LaurentPoly:
 
 def unchecked_pair(field, a, g1, g2) -> ExtensionPair:
     """An ExtensionPair built without running its validation."""
-    pair = object.__new__(ExtensionPair)
-    for name, value in (("field", field), ("a", a), ("g1", g1), ("g2", g2)):
-        object.__setattr__(pair, name, value)
-    return pair
+    return ExtensionPair._make(field, a, g1, g2)
 
 
 # -- matrices as lists of rows -----------------------------------------------

@@ -325,6 +325,16 @@ def test_exit_code_parse_failures(tmp_path, capsys):
         assert code == EXIT_PARSE and out == "", bad
         assert err.startswith("parse error: malformed job field"), bad
 
+    # text that int() alone would read: a digit separator, a plus sign and
+    # an Arabic-Indic digit are invalid input, exit 3
+    for bad in ({"a": "1_0,1"}, {"g1": [[-3, "+1,0"]]},
+                {"g2": [[-3, "\u0663,1"], [-1, "1,0"]]}):
+        path = write_job(tmp_path, "spelling.json",
+                         dict(COUNTEREXAMPLE_JOB, **bad))
+        code, out, err = run_cli(["v", "--input", path], capsys)
+        assert code == EXIT_INVALID and out == "", bad
+        assert err.startswith("invalid input: InputError: bad field element"), bad
+
 
 @pytest.mark.parametrize("payload", [
     b'{"p": 2, "n": 2, "a": "\xff\xfe"}',  # bytes that are not UTF-8

@@ -43,13 +43,22 @@ def test_f9_generator_square(f9):
     assert u * u == f9.elem(2)
 
 
-def test_parse_round_trip(f9):
+def test_parse_round_trip(f9, f25):
     for x in f9.elements():
         assert f9.parse(str(x)) == x
     with pytest.raises(InputError):
         f9.parse("1")
     with pytest.raises(InputError):
         f9.parse("1,x")
+    # a coordinate is spaces, an optional "-", ASCII digits, spaces; int()
+    # alone would read "1_0" as 10, "+3" as 3 and the Arabic-Indic "٣" as 3
+    for bad in ("1_0,0", "+3,0", "\u0663,0", "- 3,0", "--3,0", "-,0",
+                " ,0", "3\t,0"):
+        with pytest.raises(InputError):
+            f25.parse(bad)
+    for text, coords in ((" 3 , 0", (3, 0)), ("8,5", (3, 0)),
+                         ("-2,0", (3, 0)), ("007,-0", (2, 0))):
+        assert f25.parse(text).coeffs == coords
     # text or nothing: the CLI reads AttributeError as a malformed job field
     for bad in (1, [1, 0], (1, 0), None):
         with pytest.raises(AttributeError):

@@ -2,7 +2,8 @@
 Line, Subgroup, Filtration and HerbrandFn: equal fields compare and hash
 alike, fields refuse assignment and deletion, repr prints the fields, and
 pickle gives an equal value back.  The algebra types FieldParams, FqElem,
-LaurentPoly and LElement refuse deletion too."""
+LaurentPoly, LElement and ExtensionPair, all built on Frozen, hold no
+__dict__ and refuse assignment and deletion too."""
 
 from __future__ import annotations
 
@@ -91,20 +92,29 @@ def test_value_semantics(f4, name):
 
 
 @pytest.mark.parametrize("name", ["FieldParams", "FqElem", "LaurentPoly",
-                                  "LElement"])
+                                  "LElement", "ExtensionPair"])
 def test_algebra_values_refuse_deletion(name):
-    # a field of its own: a deletion that went through would spoil f4
+    # a field of its own: a change that went through would spoil f4
     field = FieldParams(2, 2)
     pair = validate_pair(**_parts(field))
     value = {"FieldParams": field,
              "FqElem": field.parse("0,1"),   # the field's interned element
              "LaurentPoly": pair.g2,
              "LElement": LElement.alpha(pair) + LElement.from_k(
-                 pair, pair.g1)}[name]
+                 pair, pair.g1),
+             "ExtensionPair": pair}[name]
+    assert type(value).__name__ == name
+    # slots only: a __dict__ would cost memory per value and hold
+    # whatever object.__setattr__ put there
+    assert not hasattr(value, "__dict__")
     text, key = repr(value), hash(value)
     for slot in type(value).__slots__:
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, getattr(value, slot))
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             delattr(value, slot)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        value.extra = 1
     assert repr(value) == text and hash(value) == key
     assert pickle.loads(pickle.dumps(value)) == value
     assert field.parse("0,1") * field.gen() == field.parse("1,1")
@@ -134,5 +144,7 @@ def test_unchecked_pair_skips_validation(f4):
     assert (pair.field, pair.a, pair.g1, pair.g2) == tuple(parts.values())
     assert pair == unchecked_pair(**parts)
     # unpickling trusts the pickled pair, as it does a LaurentPoly
-    assert pickle.loads(pickle.dumps(pair)) == pair
+    back = pickle.loads(pickle.dumps(pair))
+    assert type(back) is ExtensionPair and back == pair
+    assert back.a.is_in_prime_field()
 

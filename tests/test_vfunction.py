@@ -242,8 +242,8 @@ def direct_solve(pair):
     of L."""
     p = pair.p
     basis = kernel(pair.field, theta_conditions_matrix(pair), p * p)
-    return [LElement.from_codes(pair, {_key(p, 0, idx): code
-                                       for idx, code in v.items()})
+    return [LElement._make(pair, {_key(p, 0, idx): code
+                                  for idx, code in v.items()})
             for v in basis]
 
 
