@@ -15,8 +15,10 @@ Job files look like
    "g2": [[-3, "0,1"], [-1, "1,0"]]}
 
 with an optional "modulus" key ([c0, ..., cn] or "c0,...,cn") overriding
-the built-in choice.  Exit codes: 0 success, 2 unreadable input, 3 invalid
-input, 4 cross-check disagreement or failed internal check.
+the built-in choice.  Exit codes: 0 success; 2 a usage error or a job file
+that cannot be read, is not a JSON object or lacks a key; 3 invalid input,
+any value the library rejects; 4 cross-check disagreement, failed internal
+check or any other internal error.
 """
 
 from __future__ import annotations
@@ -53,31 +55,8 @@ EXIT_MISMATCH = 4
 
 
 class _ParseFailure(Exception):
-    """Input that could not even be read into the expected shape."""
-
-
-def _parse_modulus(raw) -> tuple[int, ...]:
-    if isinstance(raw, str):
-        parts = raw.split(",")
-    elif isinstance(raw, list):
-        # int() would truncate a float and read a bool as 0 or 1
-        if any(isinstance(x, (bool, float)) for x in raw):
-            raise _ParseFailure(f"modulus entries must be integers: {raw!r}")
-        parts = raw
-    else:
-        raise _ParseFailure(f"modulus must be a list or string, got {raw!r}")
-    try:
-        return tuple(int(x) for x in parts)
-    except (TypeError, ValueError) as exc:
-        raise _ParseFailure(f"bad modulus {raw!r}") from exc
-
-
-def _build_field(p, n, modulus=None) -> FieldParams:
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, n)):
-        raise _ParseFailure("p and n must be integers")
-    if modulus is None:
-        return FieldParams(p, n)
-    return FieldParams(p, n, _parse_modulus(modulus))
+    """A bad option value, or a job file that is not a readable JSON
+    object with every key; the library checks the values themselves."""
 
 
 def _load_job(path: str) -> ExtensionPair:
@@ -94,14 +73,11 @@ def _load_job(path: str) -> ExtensionPair:
     missing = [k for k in ("p", "n", "a", "g1", "g2") if k not in data]
     if missing:
         raise _ParseFailure(f"job file missing keys: {', '.join(missing)}")
-    field = _build_field(data["p"], data["n"], data.get("modulus"))
-    try:
-        a = field.parse(data["a"])
-        g1 = LaurentPoly.from_pairs(field, data["g1"])
-        g2 = LaurentPoly.from_pairs(field, data["g2"])
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise _ParseFailure(f"malformed job field: {exc}") from exc
-    return validate_pair(field, a, g1, g2)
+    # The library checks every value, raising InputError on a bad one.
+    field = FieldParams(data["p"], data["n"], data.get("modulus"))
+    return validate_pair(field, field.parse(data["a"]),
+                         LaurentPoly.from_pairs(field, data["g1"]),
+                         LaurentPoly.from_pairs(field, data["g2"]))
 
 
 def _both_routes(pair: ExtensionPair) -> tuple[VResult, VResult, bool]:
@@ -159,7 +135,7 @@ def _counterexample_family(field: FieldParams, c: FqElem) -> ExtensionPair:
 
 
 def cmd_counterexample(args) -> int:
-    field = _build_field(args.p, args.n, args.modulus)
+    field = FieldParams(args.p, args.n, args.modulus)
     if field.n < 2:
         raise AInPrimeField("counterexample needs n >= 2: with n = 1 the "
                             "generator a lies in the prime field")
@@ -272,7 +248,7 @@ def cmd_sweep(args) -> int:
         raise _ParseFailure("max-degree must be positive")
     if args.jobs < 1:
         raise _ParseFailure("jobs must be positive")
-    field = _build_field(args.p, args.n, args.modulus)
+    field = FieldParams(args.p, args.n, args.modulus)
     if field.n < 2:
         raise AInPrimeField("sweep needs n >= 2: with n = 1 every a lies "
                             "in the prime field")
@@ -357,6 +333,10 @@ def main(argv=None) -> int:
     except InternalCheckFailed as exc:
         print(f"internal check failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return EXIT_MISMATCH
+    except Exception as exc:
+        # A bug, not bad input: one line and the internal-failure code.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 
 

@@ -2,8 +2,9 @@
 
 An element's coordinates are a vector (c0, ..., c_{n-1}) representing
 c0 + c1*w + ... where w is a root of the defining modulus.  The modulus is a
-monic degree-n polynomial over F_p given low-to-high, so "1,1,1" is
-1 + x + x^2.  The text form of an element is "c0,c1,...".
+monic degree-n polynomial over F_p given low-to-high, as ints or as text,
+so (1, 1, 1) or "1,1,1" is 1 + x + x^2.  The text form of an element is
+"c0,c1,...".
 
 Arithmetic runs on an integer code per element: k for g^k, where g is the
 field's primitive element, and q - 1 for zero.  A product adds codes mod
@@ -19,8 +20,9 @@ canonical text of every element (coordinates in 0..p - 1, no spaces) and
 _text_codes maps that text back to its code.  It is O(q), built with the
 other tables.  Printing an element and reading canonical text, as job files
 and LaurentPoly.from_pairs do, are one lookup each; any other spelling falls
-through to the validating parse, which reads each coordinate as spaces,
-an optional "-", ASCII digits and spaces, and rejects anything else.
+through to the validating parse.  It and a modulus given as text read each
+coordinate through _coordinates: spaces, an optional "-", ASCII digits and
+spaces, and anything else is rejected.
 
 Frozen is the base of the value types here, in laurent and in
 extension_algebra: slots set once, by a checking constructor through _set
@@ -78,6 +80,19 @@ def _monic_polys(deg: int, p: int) -> Iterator[list[int]]:
         yield list(tail) + [1]
 
 
+def _coordinates(text: str, what: str) -> list[int]:
+    """The ints of "c0,c1,...": each is spaces, an optional "-", ASCII
+    digits and spaces, and anything else raises InputError("bad <what>")."""
+    coeffs = []
+    for part in text.split(","):
+        # int() would also take "+3", "1_0" and non-ASCII digits
+        digits = part.strip(" ").removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise InputError(f"bad {what} {text!r}")
+        coeffs.append(int(part))
+    return coeffs
+
+
 class Frozen:
     """Base of the immutable value types: a subclass names its fields in
     __slots__, sets them once and refuses assignment and deletion after."""
@@ -112,17 +127,23 @@ class Frozen:
 class FieldParams(Frozen):
     """Immutable description of F_{p^n}: the prime, the degree, the modulus.
 
-    Construction verifies that p is prime and that the modulus is a monic
-    irreducible polynomial of degree n over F_p (by trial division against
-    every monic polynomial of degree at most n/2; the fields in scope are
-    tiny, so brute force is the honest check).
+    p and n are ints, and the modulus is None for the built-in choice,
+    "c0,...,cn" text or a list or tuple of ints; anything else raises
+    InputError.  Construction verifies that p is prime and that the modulus
+    is a monic irreducible polynomial of degree n over F_p (by trial
+    division against every monic polynomial of degree at most n/2; the
+    fields in scope are tiny, so brute force is the honest check).
     """
 
     __slots__ = ("p", "n", "modulus", "_hash", "_units", "_vecs", "_log",
                  "_zech", "_neg_one", "_elems", "_prime", "_texts",
                  "_text_codes")
 
-    def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, n: int,
+                 modulus: Sequence[int] | str | None = None):
+        # type(x) is int, unlike isinstance, rejects a bool
+        if type(p) is not int or type(n) is not int:
+            raise InputError(f"p = {p!r} and n = {n!r} must be ints")
         if n < 1:
             raise InputError(f"extension degree n = {n} must be >= 1")
         # Checked before the sqrt(p) trial division, with n bounded before
@@ -138,6 +159,11 @@ class FieldParams(Frozen):
                 modulus = DEFAULT_MODULI[(p, n)]
             else:
                 raise InputError(f"no default modulus for (p, n) = ({p}, {n})")
+        elif isinstance(modulus, str):
+            modulus = _coordinates(modulus, "modulus")
+        elif not isinstance(modulus, (list, tuple)) \
+                or any(type(c) is not int for c in modulus):
+            raise InputError(f"modulus {modulus!r} is not text or ints")
         mod = tuple(c % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:
             raise InputError("modulus must be monic of degree n, low-to-high")
@@ -307,18 +333,13 @@ class FieldParams(Frozen):
     def parse(self, text: str) -> FqElem:
         """Parse the "c0,c1,..." text form: n integers, each an optional
         "-" and ASCII digits between spaces, read mod p.  Canonical text is
-        one lookup."""
-        if type(text) is str:
-            code = self._text_codes.get(text)
-            if code is not None:
-                return self._elems[code]
-        coeffs = []
-        for part in text.split(","):
-            # int() would also take "+3", "1_0" and non-ASCII digits
-            digits = part.strip(" ").removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise InputError(f"bad field element {text!r}")
-            coeffs.append(int(part))
+        one lookup; anything but text raises InputError."""
+        if not isinstance(text, str):
+            raise InputError(f"field element {text!r} is not text")
+        code = self._text_codes.get(text)
+        if code is not None:
+            return self._elems[code]
+        coeffs = _coordinates(text, "field element")
         if len(coeffs) != self.n:
             raise InputError(
                 f"element {text!r} has {len(coeffs)} coordinates, expected {self.n}")

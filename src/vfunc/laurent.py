@@ -81,19 +81,24 @@ class LaurentPoly(Frozen):
     def from_pairs(cls, field: FieldParams, pairs: Sequence[Sequence]) -> LaurentPoly:
         """Build from the JSON form [[exponent, "c0,c1"], ...].
 
-        Exponents must be strictly increasing integers, which also sorts
-        the terms and rules out a repeated one.  Each term is checked in
-        turn, the first fault raising: its length, its exponent, the order,
-        then its coefficient, read as FieldParams.parse reads it; canonical
-        text is one lookup in the field's text table.
+        pairs is a list or tuple of terms.  Exponents must be strictly
+        increasing integers, which also sorts the terms and rules out a
+        repeated one.  Each term is checked in turn, the first fault raising
+        InputError: its shape, its exponent, the order, then its
+        coefficient, read as FieldParams.parse reads it; canonical text is
+        one lookup in the field's text table.
         """
+        if not isinstance(pairs, (list, tuple)):
+            raise InputError(f"series {pairs!r} is not a list of terms")
         text_codes, zero = field._text_codes, field._units
         row = []
         prev = None
         for pair in pairs:
-            if len(pair) != 2:
-                raise InputError(f"bad term {pair!r}: expected [exponent, coeffs]")
-            e, txt = pair
+            try:
+                e, txt = pair
+            except (TypeError, ValueError):
+                raise InputError(f"bad term {pair!r}: expected "
+                                 "[exponent, coeffs]") from None
             # type(x) is int, unlike isinstance, rejects a bool
             if type(e) is not int:
                 raise InputError(f"bad exponent {e!r}")

@@ -311,19 +311,24 @@ def test_exit_code_parse_failures(tmp_path, capsys):
                            capsys)
     assert code == EXIT_PARSE
 
-    # booleans and floats are not integers, even where int() would take them
-    for bad in ({"modulus": [1.9, 1, 1]}, {"modulus": [True, True, True]},
-                {"n": True}):
+    # booleans and floats are not integers, even where int() would take
+    # them: a wrong value, which the library rejects, exit 3
+    for bad, message in (({"modulus": [1.9, 1, 1]}, "modulus [1.9, 1, 1]"),
+                         ({"modulus": [True, True, True]}, "modulus [True"),
+                         ({"n": True}, "n = True must be ints")):
         path = write_job(tmp_path, "typed.json", dict(COUNTEREXAMPLE_JOB, **bad))
-        code, _, err = run_cli(["v", "--input", path], capsys)
-        assert code == EXIT_PARSE and "parse error" in err, bad
+        code, out, err = run_cli(["v", "--input", path], capsys)
+        assert code == EXIT_INVALID and out == "", bad
+        assert err.startswith("invalid input: InputError: ") \
+            and message in err, bad
 
     # a coefficient that is not text, in a or in a series
     for bad in ({"a": 1}, {"g1": [[-3, 1]]}, {"g2": [[-3, [0, 1]]]}):
         path = write_job(tmp_path, "coeff.json", dict(COUNTEREXAMPLE_JOB, **bad))
         code, out, err = run_cli(["v", "--input", path], capsys)
-        assert code == EXIT_PARSE and out == "", bad
-        assert err.startswith("parse error: malformed job field"), bad
+        assert code == EXIT_INVALID and out == "", bad
+        assert err.startswith("invalid input: InputError: field element"), bad
+        assert "is not text" in err, bad
 
     # text that int() alone would read: a digit separator, a plus sign and
     # an Arabic-Indic digit are invalid input, exit 3
@@ -334,6 +339,23 @@ def test_exit_code_parse_failures(tmp_path, capsys):
         code, out, err = run_cli(["v", "--input", path], capsys)
         assert code == EXIT_INVALID and out == "", bad
         assert err.startswith("invalid input: InputError: bad field element"), bad
+
+
+@pytest.mark.parametrize("spelling",
+                         ["+3,0,1", "1_3,0,1", "\u0663,0,1", "3\t,0,1"])
+def test_bad_modulus_spelling_exits_invalid(tmp_path, capsys, spelling):
+    """The modulus follows the coordinate grammar, through --modulus and
+    through a job file alike: text int() alone would read as 3,0,1."""
+    code, out, err = run_cli(["sweep", "--p", "5", "--n", "2", "--modulus",
+                              spelling, "--max-degree", "6", "--seed", "1",
+                              "--count", "1"], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("invalid input: InputError: bad modulus")
+    path = write_job(tmp_path, "modulus.json",
+                     dict(P5_CANCEL_JOB, modulus=spelling))
+    code, out, err = run_cli(["v", "--input", path], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("invalid input: InputError: bad modulus")
 
 
 @pytest.mark.parametrize("payload", [
@@ -493,6 +515,20 @@ def test_internal_check_failure_exits_mismatch(tmp_path, capsys,
     assert out == ""
     assert err == ("internal check failed: LatticeAssertionFailed: "
                    "s' = 8 is divisible by p^2\n")
+
+
+def test_any_other_exception_exits_mismatch_in_one_line(tmp_path, capsys,
+                                                       monkeypatch):
+    # A bug in the library is neither a parse error nor a traceback.
+    def broken_oracle(pair):
+        raise RuntimeError("oracle fell over")
+
+    monkeypatch.setattr("vfunc.cli.v_oracle", broken_oracle)
+    path = write_job(tmp_path, "job.json", COUNTEREXAMPLE_JOB)
+    code, out, err = run_cli(["v", "--input", path], capsys)
+    assert code == EXIT_MISMATCH == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: oracle fell over\n"
 
 
 @pytest.mark.parametrize("g2, message", [

@@ -24,6 +24,37 @@ def test_params_validation():
         FieldParams(2, 0)
 
 
+def test_modulus_text_reads_as_its_ints():
+    text, ints = FieldParams(3, 2, "1,0,1"), FieldParams(3, 2, (1, 0, 1))
+    assert text == ints and hash(text) == hash(ints)
+    assert text.modulus == (1, 0, 1)
+    assert FieldParams(5, 2, " 8 , -5,1").modulus == (3, 0, 1)
+    assert FieldParams(5, 2, [3, 0, 1]) == FieldParams(5, 2)
+
+
+@pytest.mark.parametrize("args", [
+    (3, 2, (1.0, 0, 1)),
+    (3, 2, (True, 0, 1)),
+    (3, 2, ("1", 0, 1)),
+    (5, 2, "+3,0,1"),
+    (5, 2, "1_3,0,1"),
+    (5, 2, "\u0663,0,1"),
+    (3, 2, "3\t,0,1"),
+    (3, 2, {1: 0}),
+    (3, 2, 1),
+    (3, True),
+    (2.0, 2),
+], ids=["float-entry", "bool-entry", "str-entry", "plus", "separator",
+        "arabic-indic", "tab", "dict", "int", "bool-n", "float-p"])
+def test_mistyped_field_arguments_rejected(args):
+    """p, n and the modulus entries are ints and modulus text follows the
+    coordinate grammar; anything else raises InputError, not TypeError,
+    and is never read as an int."""
+    with pytest.raises(InputError) as caught:
+        FieldParams(*args)
+    assert type(caught.value) is InputError
+
+
 def test_default_moduli_are_irreducible():
     for (p, n), mod in DEFAULT_MODULI.items():
         fld = FieldParams(p, n)
@@ -59,10 +90,11 @@ def test_parse_round_trip(f9, f25):
     for text, coords in ((" 3 , 0", (3, 0)), ("8,5", (3, 0)),
                          ("-2,0", (3, 0)), ("007,-0", (2, 0))):
         assert f25.parse(text).coeffs == coords
-    # text or nothing: the CLI reads AttributeError as a malformed job field
+    # anything but text is a bad value, named as such
     for bad in (1, [1, 0], (1, 0), None):
-        with pytest.raises(AttributeError):
+        with pytest.raises(InputError, match="is not text") as caught:
             f9.parse(bad)
+        assert type(caught.value) is InputError
 
 
 def test_inverse_and_division(f25):

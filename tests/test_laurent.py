@@ -101,9 +101,9 @@ def test_json_pairs_round_trip(f9):
 @pytest.mark.parametrize("pairs, error, match", [
     # the first faulty term raises, whatever a later one holds
     ([[-3, "1,x"], [True, "1,0"]], InputError, "bad field element"),
-    ([[-3, [1, 0]], [-1, "1,0", 0]], AttributeError, None),
+    ([[-3, [1, 0]], [-1, "1,0", 0]], InputError, "is not text"),
     ([[-3, "1,0"], [False, "1,x"]], InputError, "bad exponent"),
-    # within a term: its length, its exponent, the order, its coefficient
+    # within a term: its shape, its exponent, the order, its coefficient
     ([[-3, "1,0", 0]], InputError, "bad term"),
     ([["-3", 3]], InputError, "bad exponent"),
     ([[-3, "1,0"], [-4, 3]], InputError, "strictly increasing"),
@@ -111,9 +111,15 @@ def test_json_pairs_round_trip(f9):
     ([[-3, "1,0"], [-4, "0,1"]], InputError, "strictly increasing"),
     ([[-3, "1,x"]], InputError, "bad field element"),
     ([[-3, "1"]], InputError, "has 1 coordinates, expected 2"),
-    # not text: the CLI reads AttributeError as a malformed job field
-    ([[-3, 3]], AttributeError, None),
-    ([[-3, [1, 0]]], AttributeError, None),
+    # a coefficient that is not text, a term that is not a pair
+    ([[-3, 3]], InputError, "is not text"),
+    ([[-3, [1, 0]]], InputError, "is not text"),
+    ([-3], InputError, "bad term"),
+    ([[-3]], InputError, "bad term"),
+    # a series that is not a list
+    (None, InputError, "is not a list of terms"),
+    ({-1: "1,0"}, InputError, "is not a list of terms"),
+    ("-1,1,0", InputError, "is not a list of terms"),
 ])
 def test_from_pairs_raises_at_the_first_fault(f9, pairs, error, match):
     with pytest.raises(error, match=match) as caught:
