@@ -280,6 +280,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+#: argparse reads a value that starts with "-" as an option, so a modulus
+#: with a negative first coordinate must be joined to the flag by "=".
+_MODULUS_HELP = ('override modulus, constant term first, e.g. "1,1,1"; '
+                 'write one whose first coordinate is negative as '
+                 '--modulus=-2,0,1')
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vfunc",
@@ -300,15 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sweep the fixed family over c outside F_p")
     p_c.add_argument("--p", type=int, required=True)
     p_c.add_argument("--n", type=int, required=True)
-    p_c.add_argument("--modulus", default=None,
-                     help='override modulus, e.g. "1,1,1"')
+    p_c.add_argument("--modulus", default=None, help=_MODULUS_HELP)
     p_c.set_defaults(func=cmd_counterexample)
 
     p_s = sub.add_parser("sweep",
                          help="random formula-versus-oracle cross-check")
     p_s.add_argument("--p", type=int, required=True)
     p_s.add_argument("--n", type=int, required=True)
-    p_s.add_argument("--modulus", default=None)
+    p_s.add_argument("--modulus", default=None, help=_MODULUS_HELP)
     p_s.add_argument("--max-degree", type=int, required=True,
                      help="largest pole order allowed in g1, g2")
     p_s.add_argument("--seed", type=int, required=True)

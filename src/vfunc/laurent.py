@@ -224,6 +224,29 @@ class LaurentPoly(Frozen):
         return f"LaurentPoly({self})"
 
 
+def _member_valuation(k: int, g1: LaurentPoly,
+                      g2: LaurentPoly) -> int | float:
+    """v_K(g^k * g1 + g2), read off the fronts of the two sorted code rows;
+    the sum itself is never built.
+
+    The first exponent held by one row only, or shared with a nonzero sum
+    (one Zech add), is the valuation.  The leading terms cancel only at a
+    shared exponent and for one scale, -c2/c1, so of the members of a
+    pencil at most one walks past its first step.
+    """
+    a, b = g1.codes, g2.codes
+    accumulate = g1.field.accumulate
+    for (ea, ka), (eb, kb) in zip(a, b):
+        if ea != eb:
+            return min(ea, eb)
+        acc = {eb: kb}
+        accumulate(acc, k, ((ea, ka),))
+        if acc:
+            return ea
+    rest = a[len(b):] or b[len(a):]
+    return rest[0][0] if rest else INFINITY
+
+
 def wp(h: LaurentPoly) -> LaurentPoly:
     """The additive-separable operator x^p - x."""
     return h.frobenius() - h

@@ -26,7 +26,7 @@ from .errors import InputError, InternalCheckFailed, NumberingMismatch
 from .extension_algebra import ExtensionPair
 # reduce_to_J is unused here, but perfbench/tests look it up in this
 # module's namespace; it goes when the benchmark drops that binding.
-from .laurent import INFINITY, LaurentPoly, reduce_to_J  # noqa: F401
+from .laurent import INFINITY, _member_valuation, reduce_to_J  # noqa: F401
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -123,28 +123,6 @@ def lines(pair: ExtensionPair) -> list[Line]:
             raise InternalCheckFailed(f"line break {jump} outside J range")
         out.append(Line(coeffs=coeffs, jump=jump))
     return out
-
-
-def _member_valuation(k: int, g1: LaurentPoly,
-                      g2: LaurentPoly) -> int | float:
-    """v_K(g^k * g1 + g2), read off the fronts of the two sorted code rows.
-
-    The first exponent held by one row only, or shared with a nonzero sum
-    (one Zech add), is the valuation.  The leading terms cancel only at a
-    shared exponent and for one scale, -c2/c1, so of the lines (lam : 1)
-    at most one walks past its first step.
-    """
-    a, b = g1.codes, g2.codes
-    accumulate = g1.field.accumulate
-    for (ea, ka), (eb, kb) in zip(a, b):
-        if ea != eb:
-            return min(ea, eb)
-        acc = {eb: kb}
-        accumulate(acc, k, ((ea, ka),))
-        if acc:
-            return ea
-    rest = a[len(b):] or b[len(a):]
-    return rest[0][0] if rest else INFINITY
 
 
 @lru_cache(maxsize=1024)

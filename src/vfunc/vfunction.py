@@ -4,7 +4,9 @@ Route one is a closed formula: with f = a^p*g1 + g2,
 
     v = ceil(s / p^2),    s = -min{v_K(g1), p * v_K(f)},
 
-the minimum absorbing v_K(f) = infinity when f vanishes.
+the minimum absorbing v_K(f) = infinity when f vanishes.  v_K(f) is read
+off the leading terms of g1 and g2 (laurent._member_valuation), as the
+filtration reads its lines; f itself is never built.
 
 Route two is a from-first-principles check.  It finds every equivariant
 map phi out of the standard two-dimensional representation by solving the
@@ -14,10 +16,12 @@ linear conditions
 
 for m in L (writing m (g - 1) for act(g, m) - m), scales an echelon basis
 of the solution space into the integral lattice, and reads v off the
-extension valuation of a 2x2 determinant of images.  Both valuations, of
-the second basis vector and of the determinant, come from
-LElement.valuation: the tau-orbit product down to K(beta), read through
-the orthogonal basis of powers of beta, with no norm down to K.
+extension valuation of a 2x2 determinant of images.  The first basis
+vector is the constant 1, whose map is (0, 1), so the determinant is
+minus the first image of the second, u2 (sigma - 1).  Both valuations, of
+the second basis vector and of that image, come from LElement.valuation:
+the tau-orbit product down to K(beta), read through the orthogonal basis
+of powers of beta, with no norm down to K.
 
 The group sends a monomial to an F_p-combination of monomials and a is a
 constant, so each condition is written once (_first_image, _second_image),
@@ -37,8 +41,8 @@ rows of F_q codes, so no value changes encoding on the way:
 2. m (tau - 1) - a * m (sigma - 1) = 0 on those vectors is a matrix with
    2p columns, solved once per (field, a).
 
-The valuations, the lattice scaling and the membership checks of the
-images are still computed for each pair.
+The valuations, the lattice scaling of the second generator and its
+membership check are still computed for each pair.
 
 The two routes share no code beyond the base arithmetic, so their
 agreement on random pairs is a strong correctness signal for both.
@@ -54,7 +58,7 @@ from .exact_linalg import kernel
 from .extension_algebra import (SIGMA, TAU, Codes, ExtensionPair, LElement,
                                 _key, act_on_terms)
 from .finite_field import MAX_Q, FieldParams, FqElem
-from .laurent import INFINITY
+from .laurent import INFINITY, _member_valuation
 
 
 class VResult(NamedTuple):
@@ -90,10 +94,14 @@ def _ceil_div(num: int, den: int) -> int:
 
 
 def v_formula(pair: ExtensionPair) -> VResult:
-    """Closed-form value from the valuations of g1 and f = a^p*g1 + g2."""
+    """Closed-form value from the valuations of g1 and f = a^p*g1 + g2.
+
+    v_K(f) is read off the leading terms of g1 and g2 with the scale a^p,
+    as the filtration reads each line (laurent._member_valuation); f itself
+    is never built.
+    """
     p = pair.p
-    f_series = (pair.a ** p) * pair.g1 + pair.g2
-    vf = f_series.valuation()
+    vf = _member_valuation((pair.a ** p).code, pair.g1, pair.g2)
     vg1 = pair.g1.valuation()
     low = vg1 if vf == INFINITY else min(vg1, p * vf)
     s = -low
@@ -269,8 +277,9 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
 
     phi(x1) = m (sigma - 1), which the membership check computes, and
     phi(x2) = m.  Raises NotInTheta when m fails either defining condition,
-    since only then is phi equivariant.  v_oracle runs this check on the
-    lattice basis of every pair, so it also guards the kept solutions.
+    since only then is phi equivariant.  v_oracle runs this check on u2,
+    the lattice generator it reads for every pair, so it also guards the
+    kept solutions.
     """
     field, x = m.pair.field, m.codes
     ds = _diff(field, SIGMA, x)
@@ -283,24 +292,27 @@ def theta_to_xi(m: LElement) -> tuple[LElement, LElement]:
 def v_oracle(pair: ExtensionPair) -> VResult:
     """Brute-force value: lattice basis, equivariant maps, 2x2 determinant.
 
-    The lattice basis u_k = t^(e_k) * m_k is m_k with every key raised by
-    the key of t^(e_k), a key shift with no product in L.  The determinant of
-    (phi_i(x_j)) is computed inside L and its extension valuation must be
-    a multiple of p^2; the quotient is the value.
+    The lattice basis is u1 = t^e1 * m1 and u2 = t^e2 * m2.  _theta_solution
+    checks that m1 is the constant 1 and theta_lattice sets e1 = 0, so
+    u1 = 1; the group fixes K, so phi1 = (u1 (sigma - 1), u1) = (0, 1) and
+    the determinant of (phi_i(x_j)) is -phi2(x1) = -u2 (sigma - 1).  Only
+    u2 is built: m2 with every key raised by the key of t^e2, a key shift
+    with no product in L.  theta_to_xi checks that u2 satisfies both
+    conditions and gives u2 (sigma - 1), whose extension valuation, that
+    of the determinant, must be a multiple of p^2; the quotient is the
+    value.
     """
     p = pair.p
     tb = theta_lattice(pair)
-    u1, u2 = (LElement._make(pair, {key + _key(p, e, 0): k
-                                    for key, k in m.codes.items()})
-              for m, e in ((tb.m1, tb.e1), (tb.m2, tb.e2)))
+    shift = _key(p, tb.e2, 0)
+    u2 = LElement._make(pair, {key + shift: k
+                               for key, k in tb.m2.codes.items()})
     try:
-        phi1 = theta_to_xi(u1)
-        phi2 = theta_to_xi(u2)
+        image = theta_to_xi(u2)[0]
     except NotInTheta as exc:
         # The basis came from the kernel, so this is a fault, not bad input.
         raise InternalCheckFailed(f"lattice basis element: {exc}") from exc
-    det2 = phi1[0] * phi2[1] - phi1[1] * phi2[0]
-    val = det2.valuation()
+    val = image.valuation()
     if val == INFINITY:
         raise InternalCheckFailed("determinant of the image matrix vanishes")
     if val % (p * p) != 0:

@@ -148,6 +148,20 @@ def test_counterexample_modulus_override(capsys):
     assert json.loads(out)["expected_pattern"] is True
 
 
+def test_negative_modulus_coordinate_needs_the_joined_flag(capsys):
+    # -2 is 3 mod 5, so the joined form builds the default F_25.
+    code, out, _ = run_cli(["counterexample", "--p", "5", "--n", "2",
+                            "--modulus=-2,0,1"], capsys)
+    assert code == EXIT_OK
+    assert out == run_cli(["counterexample", "--p", "5", "--n", "2"],
+                          capsys)[1]
+    # Spaced, argparse reads "-2,0,1" as an option and --modulus as empty.
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--p", "5", "--n", "2",
+              "--modulus", "-2,0,1"])
+    assert exc.value.code == EXIT_PARSE
+
+
 def test_counterexample_rejects_prime_field(capsys):
     # with n = 1 the generator a lies in F_p, so the family is not defined
     code, out, err = run_cli(["counterexample", "--p", "3", "--n", "1"],

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from vfunc.errors import G2DependentOnG1
 from vfunc.extension_algebra import LElement, act, validate_pair
 from vfunc.finite_field import FieldParams
-from vfunc.laurent import LaurentPoly, reduce_to_J
+from vfunc.laurent import (INFINITY, LaurentPoly, _member_valuation,
+                           reduce_to_J)
 from vfunc.ramification import (
     filtration_report,
     herbrand_phi,
@@ -235,6 +236,26 @@ def test_jumps_are_read_past_cancelling_leading_terms(field, data):
         assert ln.jump == -member.valuation()
         if ln.coeffs == (lam0, 1):
             assert ln.jump < -pair.g1.valuation()
+
+
+@over(SMALL_FIELDS)
+@derandomized(max_examples=40)
+@given(data=st.data())
+def test_member_valuation_is_that_of_the_built_sum(field, data):
+    """The leading-term walk gives v_K(c*g1 + g2) for J-series g1, g2 and
+    any c in F_q*, not only in F_p: for an independent g2, for
+    g2 = h - c*g1, whose sum is h and whose leading terms cancel against
+    c*g1 where h starts above g1, and for g2 = -c*g1, whose sum is zero.
+    The exponents are few, so the rows share many of them."""
+    p = field.p
+    exponents = [e for e in range(-1, -(2 * p + 4), -1) if e % p][:6]
+    nonzero = list(field.elements())[1:]
+    g1, g2, h = (data.draw(laurent(field, exponents, nonzero, 4))
+                 for _ in range(3))
+    c = data.draw(st.sampled_from(nonzero))
+    assert _member_valuation(c.code, g1, g2) == (c * g1 + g2).valuation()
+    assert _member_valuation(c.code, g1, h - c * g1) == h.valuation()
+    assert _member_valuation(c.code, g1, -c * g1) == INFINITY
 
 
 @over(SMALL_FIELDS + [FieldParams(7, 2)])
