@@ -187,23 +187,39 @@ class FieldParams(Frozen):
         """Log, antilog and Zech tables from the first primitive element,
         with the rest of the slots after _hash, in slot order.
 
-        Candidates run in lexicographic order of coordinate vectors.  Each
-        one's powers are walked until they return to 1, which takes at most
-        q - 1 steps; g is primitive when they reach all q - 1 units first,
-        and its walk is then the antilog table.
+        Candidates run in lexicographic order of coordinate vectors.  A
+        unit g is primitive exactly when g^((q - 1)/r) != 1 for every prime
+        r dividing q - 1, each power taken by square-and-multiply; only the
+        first such g has its powers walked, and that walk is the antilog
+        table.
         """
         p, n = self.p, self.n
         units = p ** n - 1
         one = (1,) + (0,) * (n - 1)
+        # (q - 1)/r for each prime r dividing q - 1, smallest (the
+        # cheapest power) first
+        cofactors = [units // r for r in range(units, 1, -1)
+                     if units % r == 0 and _is_prime(r)]
+
+        def power(g: tuple[int, ...], e: int) -> tuple[int, ...]:
+            acc = one
+            for bit in bin(e)[2:]:
+                acc = self._vec_mul(acc, acc)
+                if bit == "1":
+                    acc = self._vec_mul(acc, g)
+            return acc
+
         vectors = list(itertools.product(range(p), repeat=n))
-        for g in vectors[1:]:
-            vecs = [one]
-            cur = g
-            while cur != one:
-                vecs.append(cur)
-                cur = self._vec_mul(cur, g)
-            if len(vecs) == units:
-                break
+        g = next(g for g in vectors[1:]
+                 if all(power(g, e) != one for e in cofactors))
+        vecs = [one]
+        cur = g
+        while cur != one:
+            vecs.append(cur)
+            cur = self._vec_mul(cur, g)
+        if len(vecs) != units:
+            raise InternalCheckFailed(f"{g} has order {len(vecs)}, "
+                                      f"not q - 1 = {units}")
         vecs.append((0,) * n)
         log = {v: k for k, v in enumerate(vecs)}
         zech = tuple(log[((v[0] + 1) % p,) + v[1:]] for v in vecs[:units])

@@ -14,6 +14,12 @@ the lower breaks, which are the knots of psi, whose slopes are the
 integers 1, p and p^2.  Only phi, with slopes 1, 1/p and 1/p^2, and
 evaluation between knots use Fraction, and import it where they do: the
 filtration routes never load the fractions module.
+
+The four entry points (upper_filtration, lower_filtration,
+quotient_compat_check and filtration_report) share one build per pair:
+its lines and upper filtration are made once and held for the last pair
+asked about only, matched by identity.  lines() still walks and returns a
+fresh list.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .extension_algebra import ExtensionPair
 from .laurent import INFINITY, _member_valuation, reduce_to_J  # noqa: F401
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 
@@ -79,7 +86,8 @@ class Subgroup(_SubgroupFields):
     def is_subset(self, other: Subgroup) -> bool:
         if self.p != other.p:
             raise InputError("subgroups of groups for different p")
-        return self.order == 1 or other.order == self.p ** 2 or self == other
+        # len(gens) is the exponent of the order, p ** len(gens)
+        return not self.gens or len(other.gens) == 2 or self == other
 
     def intersect(self, other: Subgroup) -> Subgroup:
         """The smaller one if one contains the other, else trivial: two
@@ -166,12 +174,12 @@ class Filtration(_FiltrationFields):
                     f"break height {u!r} is not an integer")
             if last_u is not None and not u > last_u:
                 raise InternalCheckFailed("breaks out of order")
-            if prev is not None and not (sub.order < prev.order
+            if prev is not None and not (len(sub.gens) < len(prev.gens)
                                          and sub.is_subset(prev)):
                 raise InternalCheckFailed("subgroups not strictly decreasing")
             prev = sub
             last_u = u
-        if breaks and breaks[-1][1].order != 1:
+        if breaks and breaks[-1][1].gens:
             raise InternalCheckFailed("final subgroup is not trivial")
         return super().__new__(cls, numbering, p, breaks)
 
@@ -183,17 +191,38 @@ class Filtration(_FiltrationFields):
         return [u for u, _ in self.breaks]
 
 
+# The last pair's build, (pair, lines, upper filtration); see _build.
+_held: tuple = (None, (), None)
+
+
+def _build(pair: ExtensionPair) -> tuple[tuple[Line, ...], Filtration]:
+    """The lines of pair, as a tuple, and its upper filtration.
+
+    Built once per pair and held for the last pair only, matched by
+    identity: a pair is immutable, and holding it keeps its id from being
+    reused.  The held tuple is read once and replaced in one assignment,
+    so callers on two threads at worst each build their own pair.
+    """
+    global _held
+    held = _held
+    if held[0] is not pair:
+        ls = tuple(lines(pair))
+        held = _held = (pair, ls, _assemble_upper(pair.p, ls))
+    return held[1], held[2]
+
+
 def upper_filtration(pair: ExtensionPair) -> Filtration:
     """Assemble the upper-numbering filtration from the p+1 line breaks.
 
     The subgroup after height u intersects the annihilators of all lines
     with break at most u; heights where the intersection does not shrink
-    are not breaks and are dropped.
+    are not breaks and are dropped.  Read from the pair's one build, which
+    lower_filtration and quotient_compat_check share.
     """
-    return _assemble_upper(pair.p, lines(pair))
+    return _build(pair)[1]
 
 
-def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
+def _assemble_upper(p: int, ls: Sequence[Line]) -> Filtration:
     breaks = []
     current = Subgroup.full(p)
     for u in sorted({ln.jump for ln in ls}):
@@ -202,12 +231,12 @@ def _assemble_upper(p: int, ls: list[Line]) -> Filtration:
         for ln in ls:
             if ln.jump == u:
                 nxt = nxt.intersect(annihilator(ln.coeffs, p))
-        if nxt.order < current.order:
+        if len(nxt.gens) < len(current.gens):
             breaks.append((u, nxt))
             current = nxt
-        if current.order == 1:
+        if not current.gens:
             break
-    if not breaks or breaks[-1][1].order != 1:
+    if not breaks or breaks[-1][1].gens:
         raise InternalCheckFailed("line annihilators failed to cut to 1")
     return Filtration(numbering="upper", p=p, breaks=tuple(breaks))
 
@@ -265,8 +294,10 @@ def herbrand_psi(filt: Filtration) -> HerbrandFn:
 
 
 def lower_filtration(pair: ExtensionPair) -> Filtration:
-    """Transport the upper breaks through the inverse transition function."""
-    return _lower_from_upper(upper_filtration(pair))
+    """Transport the upper breaks through the inverse transition function.
+
+    The upper filtration is read from the pair's one build."""
+    return _lower_from_upper(_build(pair)[1])
 
 
 def _lower_from_upper(upper: Filtration) -> Filtration:
@@ -277,10 +308,10 @@ def _lower_from_upper(upper: Filtration) -> Filtration:
 
 
 def filtration_report(pair: ExtensionPair) -> tuple[Filtration, Filtration, bool]:
-    """(upper, lower, quotient-compatibility) from one build of the lines."""
-    all_lines = lines(pair)
-    upper = _assemble_upper(pair.p, all_lines)
-    return upper, _lower_from_upper(upper), _compat(pair.p, all_lines, upper)
+    """(upper, lower, quotient-compatibility): the three entry points,
+    which read the pair's one build."""
+    return (upper_filtration(pair), lower_filtration(pair),
+            quotient_compat_check(pair))
 
 
 def filtration_fingerprint(filt: Filtration, orders_only: bool = False) -> str:
@@ -310,13 +341,13 @@ def quotient_compat_check(pair: ExtensionPair) -> bool:
     with a single break at the line's jump j, so the image of the upper
     filtration in G/H must be everything at heights v <= j and trivial
     after.  Tested at u + 1 for every break and jump u, which meets
-    every height where the two sides can disagree.
+    every height where the two sides can disagree.  The lines and the
+    filtration are read from the pair's one build.
     """
-    all_lines = lines(pair)
-    return _compat(pair.p, all_lines, _assemble_upper(pair.p, all_lines))
+    return _compat(pair.p, *_build(pair))
 
 
-def _compat(p: int, all_lines: list[Line], upper: Filtration) -> bool:
+def _compat(p: int, all_lines: Sequence[Line], upper: Filtration) -> bool:
     # Breaks and jumps are integers, and subgroup_at reads the breaks
     # strictly below a height.  Up to the first break or jump both sides
     # hold everywhere (the subgroup is G, which no H contains, and every

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
@@ -321,3 +322,37 @@ def test_fields_and_elements_survive_pickling(f9):
             y = pickle.loads(pickle.dumps(x))
             assert y == x and hash(y) == hash(x)
             assert y * field.gen() == x * field.gen()
+
+
+def walked_tables(field):
+    """_vecs, _log and _zech as the reference walk builds them: each
+    candidate's powers, in lexicographic order, walked until they return to
+    1, keeping the first that reaches all q - 1 units."""
+    p, n = field.p, field.n
+    one = (1,) + (0,) * (n - 1)
+    for g in list(itertools.product(range(p), repeat=n))[1:]:
+        vecs = [one]
+        cur = g
+        while cur != one:
+            vecs.append(cur)
+            cur = field._vec_mul(cur, g)
+        if len(vecs) == field.q - 1:
+            break
+    vecs.append((0,) * n)
+    log = {v: k for k, v in enumerate(vecs)}
+    zech = tuple(log[((v[0] + 1) % p,) + v[1:]] for v in vecs[:-1])
+    return tuple(vecs), log, zech
+
+
+@pytest.mark.parametrize("p, n, modulus", [
+    *((p, n, mod) for (p, n), mod in DEFAULT_MODULI.items()),
+    (2, 1, None), (5, 1, None),
+    (2, 3, (1, 1, 0, 1)), (3, 3, (1, 2, 0, 1)), (7, 3, (1, 1, 0, 1)),
+    (61, 2, "59,0,1"),
+    (2, 12, (1, 0, 0, 1) + (0,) * 8 + (1,)),
+])
+def test_primitive_element_test_picks_the_walked_tables(p, n, modulus):
+    """The power test g^((q - 1)/r) != 1 chooses the same generator as
+    walking every candidate to its order, so every code is unchanged."""
+    field = FieldParams(p, n, modulus)
+    assert (field._vecs, field._log, field._zech) == walked_tables(field)

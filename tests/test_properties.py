@@ -5,6 +5,8 @@ Every property runs derandomized, so the examples are the same on every
 run.  These add to the seeded tests elsewhere and replace none of them.
 """
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,9 @@ from vfunc.ramification import (
     herbrand_phi,
     herbrand_psi,
     lines,
+    lower_filtration,
     quotient_compat_check,
+    upper_filtration,
 )
 from vfunc.vfunction import v_formula, v_oracle
 
@@ -236,6 +240,51 @@ def test_jumps_are_read_past_cancelling_leading_terms(field, data):
         assert ln.jump == -member.valuation()
         if ln.coeffs == (lam0, 1):
             assert ln.jump < -pair.g1.valuation()
+
+
+@st.composite
+def g1_branch_pairs(draw, field: FieldParams, max_pole: int,
+                    max_terms: int):
+    """Valid pairs on the formula's v_K(g1) branch.  With a outside F_p,
+    g1 of pole order j1 and h in J with -v_K(h) < j1/p (h = 0 when
+    j1 < p), g2 = h - a^p*g1 makes f = a^p*g1 + g2 = h, so
+    p*v_K(f) > v_K(g1): the leading terms of f cancel down to h's.  The
+    pair is valid as a^p is not in F_p.  g1's exponents shrink toward
+    -max_pole and h's toward -1."""
+    p = field.p
+    nonzero = list(field.elements())[1:]
+    a = draw(st.sampled_from([x for x in nonzero
+                              if not x.is_in_prime_field()]))
+    g1 = draw(laurent(field, [e for e in range(-max_pole, 0) if e % p],
+                      nonzero, max_terms))
+    j1 = -g1.valuation()
+    shallow = [-k for k in range(1, (j1 - 1) // p + 1) if k % p]
+    h = LaurentPoly(field, draw(st.dictionaries(
+        st.sampled_from(shallow), st.sampled_from(nonzero),
+        max_size=max_terms)) if shallow else {})
+    return validate_pair(field, a, g1, h - a ** p * g1)
+
+
+@over([FieldParams(2, 2), F8, FieldParams(3, 2), FieldParams(5, 2), F27,
+       FieldParams(7, 2)])
+@derandomized(max_examples=25)
+@given(data=st.data())
+def test_g1_branch_pairs_agree_and_pass_the_quotient_check(field, data):
+    """On the branch where v moves inside a filtration fiber, the routes
+    agree, the filtration checks against every degree-p quotient, and the
+    report equals the three entry points on an equal copy of the pair,
+    which is built afresh."""
+    pair = data.draw(g1_branch_pairs(field, max_pole=field.p ** 2 + 2,
+                                     max_terms=3))
+    rf, ro = v_formula(pair), v_oracle(pair)
+    # s = -p*v_K(f) is divisible by p, and j1 = -v_K(g1) is not.
+    assert rf.s == -pair.g1.valuation()
+    assert (rf.value, rf.s) == (ro.value, ro.s)
+    report = filtration_report(pair)
+    assert report[2] is True
+    copy = pickle.loads(pickle.dumps(pair))
+    assert report == (upper_filtration(copy), lower_filtration(copy),
+                      quotient_compat_check(copy))
 
 
 @over(SMALL_FIELDS)

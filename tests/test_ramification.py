@@ -1,6 +1,7 @@
 """Line decomposition, filtrations, transition functions, compatibility."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,17 @@ from vfunc import (
     InputError,
     InternalCheckFailed,
     NumberingMismatch,
+    ramification,
 )
 from vfunc.extension_algebra import validate_pair
 from vfunc.finite_field import FieldParams
 from vfunc.ramification import (
     Filtration,
+    Line,
     Subgroup,
     _assemble_upper,
     _compat,
+    _lower_from_upper,
     annihilator,
     filtration_fingerprint,
     filtration_report,
@@ -41,6 +45,28 @@ def counterexample_pair(f4, c):
     w = f4.gen()
     return validate_pair(f4, w, series(f4, (-3, 1)),
                          series(f4, (-3, c), (-1, 1)))
+
+
+def fresh_report(pair):
+    """(upper, lower, compat) from a walk of the lines made here, not from
+    the entry points' shared build."""
+    ls = lines(pair)
+    upper = _assemble_upper(pair.p, ls)
+    return upper, _lower_from_upper(upper), _compat(pair.p, ls, upper)
+
+
+def count_walks(monkeypatch):
+    """Wrap the module's lines, which the shared build calls; the returned
+    list grows by one entry per walk."""
+    walks = []
+    walk = ramification.lines
+
+    def counted(pair):
+        walks.append(pair)
+        return walk(pair)
+
+    monkeypatch.setattr(ramification, "lines", counted)
+    return walks
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -181,10 +207,13 @@ def test_filtration_routes_reduce_nothing(f9, monkeypatch):
 
     monkeypatch.setattr("vfunc.ramification.reduce_to_J", refuse)
     monkeypatch.setattr("vfunc.laurent.reduce_to_J", refuse)
+    walks = count_walks(monkeypatch)
+    # drawn under the patches, so no build of it can predate them
     pair = random_pair(f9, make_rng("no-reduce"), -8)
     for route in (lines, upper_filtration, lower_filtration,
                   quotient_compat_check, filtration_report):
         route(pair)
+    assert walks == [pair]
 
 
 def test_filtration_routes_build_no_fraction(f4, f9, f25, f8, monkeypatch):
@@ -195,8 +224,10 @@ def test_filtration_routes_build_no_fraction(f4, f9, f25, f8, monkeypatch):
         rng = make_rng(f"no-fraction-{field.q}")
         pairs += [random_pair(field, rng, -(field.p ** 2 + 1))
                   for _ in range(4)]
-    # psi moves a break only past a first break of order p
-    assert any(len(upper_filtration(pair).breaks) == 2 for pair in pairs)
+    # psi moves a break only past a first break of order p; read on
+    # copies, so that no pair below has a build from before the patch
+    assert any(len(upper_filtration(pickle.loads(pickle.dumps(pair)))
+                   .breaks) == 2 for pair in pairs)
 
     def refuse(*args):
         raise AssertionError("Fraction built")
@@ -204,10 +235,12 @@ def test_filtration_routes_build_no_fraction(f4, f9, f25, f8, monkeypatch):
     # ramification imports Fraction where phi needs it, so a route that
     # built one would meet refuse
     monkeypatch.setattr("fractions.Fraction", refuse)
+    walks = count_walks(monkeypatch)
     for pair in pairs:
         for route in (filtration_report, upper_filtration, lower_filtration,
                       quotient_compat_check):
             route(pair)
+    assert walks == pairs
 
 # -- annihilators ------------------------------------------------------------
 
@@ -479,6 +512,59 @@ def test_filtration_report_matches_the_public_functions(f4, f9):
         rng = make_rng(f"report-{field.p}")
         for _ in range(3):
             pair = random_pair(field, rng, -(field.p ** 2 + 1))
-            assert filtration_report(pair) == (
+            report = filtration_report(pair)
+            assert report == (
                 upper_filtration(pair), lower_filtration(pair),
                 quotient_compat_check(pair))
+            assert report == fresh_report(pair)
+
+
+# -- the shared build --------------------------------------------------------
+
+ENTRY_POINTS = (upper_filtration, lower_filtration, quotient_compat_check)
+
+
+def test_entry_points_read_the_build_of_the_pair_asked_about(f4):
+    """In every order of the three entry points, called on two pairs with
+    different filtrations and on an equal copy of the first, one pair after
+    another or alternating, each result is that of a fresh build."""
+    first = shallow_deep_pair(f4)
+    second = counterexample_pair(f4, f4.gen())
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy == first and copy is not first
+    pairs = (first, second, copy)
+    expected = [fresh_report(pair) for pair in pairs]
+    assert expected[0][:2] != expected[1][:2]
+    for order in itertools.permutations(range(3)):
+        # each pair through the three calls, then the pairs alternating
+        calls = [(k, i) for k in range(3) for i in order]
+        calls += [(k, i) for i in order for k in range(3)]
+        for k, i in calls:
+            assert ENTRY_POINTS[i](pairs[k]) == expected[k][i], (order, k, i)
+        assert filtration_report(copy) == expected[2]
+
+
+def test_three_entry_points_walk_the_lines_once(f9, monkeypatch):
+    walks = count_walks(monkeypatch)
+    rng = make_rng("one-walk")
+    for route in ENTRY_POINTS:
+        pair = random_pair(f9, rng, -10)
+        for entry in (route,) + ENTRY_POINTS:
+            entry(pair)
+        assert walks == [pair]
+        filtration_report(pair)
+        assert walks == [pair]
+        walks.clear()
+
+
+def test_editing_the_lines_list_leaves_the_build_alone(f4):
+    pair = shallow_deep_pair(f4)
+    expected = fresh_report(pair)
+    before = lines(pair)
+    before[:] = [Line(coeffs=(1, 0), jump=7)]
+    assert quotient_compat_check(pair) is True
+    after = lines(pair)
+    after.clear()
+    assert lines(pair) and lines(pair) is not lines(pair)
+    assert (upper_filtration(pair), lower_filtration(pair),
+            quotient_compat_check(pair)) == expected
