@@ -36,6 +36,7 @@ from .errors import (
     InternalCheckFailed,
     SamplingExhausted,
     TooManyTerms,
+    VfuncError,
 )
 from .extension_algebra import MAX_TERMS, ExtensionPair, validate_pair
 from .finite_field import FieldParams, FqElem
@@ -234,11 +235,90 @@ def _json_series(g: LaurentPoly) -> str:
 
 
 def _sweep_row(pair: ExtensionPair) -> tuple:
-    """One CSV row of a sweep, in this process or a --jobs worker."""
+    """One CSV row of a sweep."""
     rf, ro, agree = _both_routes(pair)
     return (_json_series(pair.g1), _json_series(pair.g2), rf.value,
             ro.value, str(agree).lower(), rf.s,
             filtration_fingerprint(upper_filtration(pair)))
+
+
+def _sweep_rows(pairs: list[ExtensionPair], start: int, seed: int) -> list:
+    """The rows of pairs start + 1, start + 2, ... of a sweep, in this
+    process or a --jobs worker.  A VfuncError keeps its type and gains
+    "pair i (seed S): " in front of its message; pair i counts from 1, so
+    the same sweep with --count i ends on it."""
+    rows = []
+    for i, pair in enumerate(pairs, start + 1):
+        try:
+            rows.append(_sweep_row(pair))
+        except VfuncError as exc:
+            exc.args = (f"pair {i} (seed {seed}): {exc}",)
+            raise
+    return rows
+
+
+def _forked_rows(pairs: list[ExtensionPair], share: int, seed: int) -> list:
+    """_sweep_rows of every pair, one forked child per contiguous share.
+
+    A child reads its share and the field's tables from the memory it
+    inherits, so nothing is pickled on the way in; it fills its own θ
+    caches.  It pickles (True, rows) or (False, exception) into its pipe
+    and leaves by os._exit.  The parent reads the pipes in input order
+    and re-raises a worker's exception, so the run fails as the serial
+    one would; a child that wrote nothing raises InternalCheckFailed.
+    Every child is reaped before this returns or raises, and those whose
+    rows are no longer wanted are killed first.  The command line starts
+    no thread, so no lock can be held across the fork.
+    """
+    import pickle  # only --jobs pays for it at start-up
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (first pair's index, pid, read end of its pipe)
+    read = 0
+    try:
+        for start in range(0, len(pairs), share):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        result = (True, _sweep_rows(
+                            pairs[start:start + share], start, seed))
+                    except Exception as exc:
+                        result = (False, exc)
+                    # pickled whole first, so a failure writes nothing
+                    result = pickle.dumps(result)
+                    with open(writer, "wb") as pipe:
+                        pipe.write(result)
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            children.append((start, pid, reader))
+        rows = []
+        for start, _, reader in children:
+            with open(reader, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            read += 1
+            if not payload:
+                raise InternalCheckFailed(
+                    f"the --jobs worker for pairs {start + 1} to "
+                    f"{min(start + share, len(pairs))} (seed {seed}) ended "
+                    f"without a result")
+            ok, result = pickle.loads(payload)
+            if not ok:
+                raise result
+            rows += result
+        return rows
+    finally:
+        for _, _, reader in children:
+            os.close(reader)
+        if read < len(children):
+            import signal
+            for _, pid, _ in children[read:]:
+                os.kill(pid, signal.SIGKILL)
+        for _, pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def cmd_sweep(args) -> int:
@@ -258,20 +338,13 @@ def cmd_sweep(args) -> int:
         raise TooManyTerms(f"--max-degree {args.max_degree} allows {terms} "
                            f"terms, more than MAX_TERMS = {MAX_TERMS}")
     pairs = _sweep_jobs(field, args.seed, args.count, args.max_degree)
-    workers = min(args.jobs, len(pairs), os.cpu_count() or 1)
+    workers = (min(args.jobs, len(pairs), os.cpu_count() or 1)
+               if hasattr(os, "fork") else 1)
     if workers > 1:
-        # Imported here: serial runs need not pay for it at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # One contiguous share of at most ceil(count / workers) pairs per
-        # task, and one worker per share.  A share's pairs hold one field
-        # object, which pickle sends once, so a worker builds the field's
-        # tables once per share.
-        share = -(-len(pairs) // workers)
-        with ProcessPoolExecutor(max_workers=-(-len(pairs) // share)) as pool:
-            results = list(pool.map(_sweep_row, pairs, chunksize=share))
+        # Shares of at most ceil(count / workers) pairs, one child each.
+        results = _forked_rows(pairs, -(-len(pairs) // workers), args.seed)
     else:
-        results = list(map(_sweep_row, pairs))
+        results = _sweep_rows(pairs, 0, args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["g1", "g2", "v_formula", "v_oracle", "agree", "s",
                      "fingerprint"])
@@ -320,8 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--seed", type=int, required=True)
     p_s.add_argument("--count", type=int, required=True)
     p_s.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, at most one per CPU and per "
-                          "pair (default 1)")
+                     help="worker processes, forked after the pairs are "
+                          "drawn and validated; at most one per CPU and per "
+                          "pair, and 1 where os.fork does not exist "
+                          "(default 1)")
     p_s.set_defaults(func=cmd_sweep)
     return parser
 

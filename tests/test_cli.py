@@ -5,9 +5,9 @@ import hashlib
 import io
 import json
 import os
-import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -228,44 +228,36 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
-def fake_pool(sizes):
-    """A stand-in for ProcessPoolExecutor that records its size in sizes
-    and maps serially, sending each chunk through pickle as the pool
-    would: no process starts."""
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def no_fork(children):
+    """A stand-in for cli._forked_rows that records how many children the
+    real one would fork and makes the rows in this process: no process
+    starts."""
+    def forked_rows(pairs, share, seed):
+        children.append(len(range(0, len(pairs), share)))
+        return vfunc.cli._sweep_rows(pairs, 0, seed)
 
-        def __enter__(self):
-            return self
+    return forked_rows
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            for i in range(0, len(items), chunksize):
-                chunk = pickle.loads(pickle.dumps(items[i:i + chunksize]))
-                yield from map(fn, chunk)
-
-    return FakePool
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        fake_pool(sizes))
+    children = []
+    monkeypatch.setattr("vfunc.cli._forked_rows", no_fork(children))
     _, serial, _ = run_cli(sweep_args(), capsys)
-    # (CPU count, --jobs, --count, pool size or None for a serial run)
-    # 4 pairs in shares of 2 need 2 workers, not 3
-    for cpus, jobs, count, size in ((4, 100000, 8, 4), (16, 100000, 8, 8),
-                                    (4, 3, 4, 2), (4, 50, 1, None),
-                                    (None, 3, 8, None)):
+    # (CPU count, --jobs, --count, children forked or None for a serial run)
+    # 4 pairs in shares of 2 need 2 children, not 3
+    for cpus, jobs, count, forks in ((4, 100000, 8, 4), (16, 100000, 8, 8),
+                                     (4, 3, 4, 2), (4, 50, 1, None),
+                                     (None, 3, 8, None)):
         monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda c=cpus: c)
-        sizes.clear()
+        children.clear()
         code, out, _ = run_cli(sweep_args(jobs=jobs, count=count), capsys)
         assert code == EXIT_OK
-        assert sizes == ([] if size is None else [size])
+        assert children == ([] if forks is None else [forks])
         if count == 8:
             assert out == serial
 
@@ -273,27 +265,108 @@ def test_sweep_worker_count_is_bounded(monkeypatch, capsys):
 def test_sweep_builds_its_field_once_per_process(monkeypatch, capsys):
     built = []
     real_init = FieldParams.__init__
+    parent = os.getpid()
 
-    def counting_init(self, *args):
+    def parent_only_init(self, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("a --jobs worker built a field")
         built.append(args)
         real_init(self, *args)
 
-    monkeypatch.setattr(FieldParams, "__init__", counting_init)
+    monkeypatch.setattr(FieldParams, "__init__", parent_only_init)
     code, serial, _ = run_cli(sweep_args(), capsys)
     assert code == EXIT_OK
     assert len(built) == 1
-    # under --jobs the pairs of one chunk share one field, which unpickling
-    # builds once; the 8 pairs go in chunks of 4 (2 jobs) or 3, 3, 2 (3 jobs)
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        fake_pool(sizes))
+    # the children read the parent's field from the memory they inherit;
+    # the 8 pairs go in shares of 4 (2 jobs) or 3, 3, 2 (3 jobs)
     monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
     for jobs in (2, 3):
         built.clear()
-        code, out, _ = run_cli(sweep_args(jobs=jobs), capsys)
-        assert code == EXIT_OK
-        assert sizes[-1] == jobs and len(built) == 1 + jobs
+        code, out, err = run_cli(sweep_args(jobs=jobs), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert len(built) == 1
         assert out == serial
+        assert_no_child_left()
+
+
+def failing_on(monkeypatch, number, error, sleeping_on=None):
+    """Make _sweep_row raise error on pair `number` (from 1) of the sweep,
+    and sleep for a minute on pair `sleeping_on`, in whichever process
+    makes that row."""
+    drawn = []
+    real_jobs, real_row = vfunc.cli._sweep_jobs, vfunc.cli._sweep_row
+
+    def jobs(*args):
+        drawn[:] = real_jobs(*args)
+        return drawn
+
+    def row(pair):
+        if pair is drawn[number - 1]:
+            raise error("made to fail")
+        if sleeping_on is not None and pair is drawn[sleeping_on - 1]:
+            time.sleep(60)
+        return real_row(pair)
+
+    monkeypatch.setattr("vfunc.cli._sweep_jobs", jobs)
+    monkeypatch.setattr("vfunc.cli._sweep_row", row)
+
+
+@pytest.mark.parametrize("number", [3, 6])
+@pytest.mark.parametrize("error, code, prefix", [
+    (G2DependentOnG1, EXIT_INVALID, "invalid input: G2DependentOnG1: "),
+    (LatticeAssertionFailed, EXIT_MISMATCH,
+     "internal check failed: LatticeAssertionFailed: "),
+])
+def test_a_failing_sweep_row_names_its_pair_serially_and_under_jobs(
+        monkeypatch, capsys, number, error, code, prefix):
+    # 8 pairs under --jobs 2 go in shares of 4: pair 3 fails in the first
+    # child, whose partner is then killed, and pair 6 in the second
+    failing_on(monkeypatch, number, error)
+    monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
+    expected = f"{prefix}pair {number} (seed 42): made to fail\n"
+    for jobs in (None, 2):
+        assert run_cli(sweep_args(jobs=jobs), capsys) == (code, "", expected)
+        assert_no_child_left()
+
+
+def test_a_failing_worker_stops_the_others(monkeypatch, capsys):
+    # pair 3 fails in the first child while the second sleeps on pair 5:
+    # the parent kills the second instead of waiting a minute for it
+    failing_on(monkeypatch, 3, G2DependentOnG1, sleeping_on=5)
+    monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
+    started = time.monotonic()
+    code, out, err = run_cli(sweep_args(jobs=2), capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "pair 3 (seed 42)" in err
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_a_result_exits_mismatch(monkeypatch,
+                                                             capsys):
+    parent = os.getpid()
+    real_row = vfunc.cli._sweep_row
+
+    def row(pair):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_row(pair)
+
+    monkeypatch.setattr("vfunc.cli._sweep_row", row)
+    monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
+    code, out, err = run_cli(sweep_args(jobs=2), capsys)
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err == ("internal check failed: InternalCheckFailed: the --jobs "
+                   "worker for pairs 1 to 4 (seed 42) ended without a "
+                   "result\n")
+    assert_no_child_left()
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch, capsys):
+    _, serial, _ = run_cli(sweep_args(), capsys)
+    monkeypatch.setattr("vfunc.cli.os.cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(sweep_args(jobs=2), capsys) == (EXIT_OK, serial, "")
 
 
 def test_sweep_validates_each_pair_once(monkeypatch, capsys):
@@ -582,11 +655,10 @@ def test_oracle_basis_outside_theta_exits_mismatch(tmp_path, capsys,
     assert "defining conditions" in err
 
 
-#: Modules no start-up of the command line may load: numpy, the process
-#: pool (which only sweep --jobs uses), and what dataclasses and fractions
-#: would pull in.
-NOT_AT_START_UP = ("numpy", "concurrent.futures.process", "dataclasses",
-                   "inspect", "fractions", "decimal")
+#: Modules no start-up of the command line may load: numpy, a process
+#: pool, and what dataclasses and fractions would pull in.
+NOT_AT_START_UP = ("numpy", "concurrent.futures", "multiprocessing",
+                   "dataclasses", "inspect", "fractions", "decimal")
 
 
 def test_importing_the_cli_leaves_numpy_out(tmp_path):
@@ -609,6 +681,16 @@ def test_importing_the_cli_leaves_numpy_out(tmp_path):
              command, "--input", path],
             env=env, capture_output=True, text=True, check=True)
         assert done.stderr == "0 False\n", command
+    # Nor does a sweep that forks two workers load a process pool.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from vfunc.cli import main; code = main(sys.argv[1:]); "
+         "print(code, [m for m in ('concurrent.futures', 'multiprocessing') "
+         "if m in sys.modules], file=sys.stderr)",
+         "sweep", "--p", "3", "--n", "2", "--max-degree", "5", "--seed", "1",
+         "--count", "4", "--jobs", "2"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stderr == "0 []\n"
 
 
 def test_import_leaves_the_youngest_generation_collected():
